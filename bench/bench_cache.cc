@@ -54,7 +54,8 @@ struct RunResult {
 };
 
 std::string SkewLabel(double skew) {
-  std::string label = "s" + std::to_string(skew);
+  std::string label = "s";
+  label.append(std::to_string(skew));
   // Trim trailing zeros ("0.990000" -> "0.99"), then make it a metric
   // token ("0.99" -> "0_99").
   while (!label.empty() && label.back() == '0') label.pop_back();

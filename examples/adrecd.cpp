@@ -12,7 +12,6 @@
 //          [--wal-append-sample=N] [--follow=HOST:PORT]
 //          [--trace-ring=N] [--trace-slow-ms=MS] [--trace-sample=N]
 //          [--topk-cache=N] [--topk-cache-admission=always|frequency]
-//          [--compressed-index] [--postings-seal=N]
 //
 // The `snapshot` verb is disabled unless --snapshot-root names a base
 // directory; client-supplied targets are then confined under it.
@@ -63,13 +62,6 @@
 // doorkeeper that admits a key under pressure only on repeat sighting;
 // `always` admits everything). Watch cache.{hits,misses,invalidations,
 // evictions} and cache.hit_ratio via the `metrics` verb.
-//
-// --compressed-index serves ad queries from the compressed posting-list
-// inventory index (DESIGN.md §15) instead of the uncompressed AdIndex;
-// results are byte-identical, memory is not. --postings-seal=N sets the
-// delta-index size that triggers an epoch seal (default 1024). Watch
-// postings.{bytes,lists,epochs,delta_ads,sealed_ads,pruned_ratio} and
-// index.{ads,postings_bytes} via the `metrics` verb.
 //
 // Multi-core serving (DESIGN.md §16): --workers=N (default = the shard
 // count) runs N shard-affine event-loop workers behind one acceptor
@@ -153,8 +145,6 @@ int main(int argc, char** argv) {
   adrec::wal::CheckpointOptions ckpt_opts;
   adrec::serve::ServerOptions options;
   adrec::obs::TraceCollectorOptions trace_opts;
-  bool compressed_index = false;
-  adrec::postings::PostingsOptions postings_opts;
 
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
@@ -229,10 +219,6 @@ int main(int argc, char** argv) {
                      "--topk-cache-admission: want always|frequency\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--compressed-index") == 0) {
-      compressed_index = true;
-    } else if (FlagValue(argv[i], "--postings-seal", &v)) {
-      postings_opts.seal_threshold = static_cast<size_t>(std::atoll(v));
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port=N] [--shards=N] [--workers=N] "
@@ -249,8 +235,7 @@ int main(int argc, char** argv) {
                    "[--wal-append-sample=N] [--follow=HOST:PORT] "
                    "[--trace-ring=N] [--trace-slow-ms=MS] "
                    "[--trace-sample=N] [--topk-cache=N] "
-                   "[--topk-cache-admission=always|frequency] "
-                   "[--compressed-index] [--postings-seal=N]\n",
+                   "[--topk-cache-admission=always|frequency]\n",
                    argv[0]);
       return 2;
     }
@@ -277,7 +262,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--topk-cache is incompatible with --workers>1 (the "
                  "cache is invalidated by pool-wide ingest; see "
-                 "DESIGN.md §16)\n");
+                 "DESIGN.md §14)\n");
     return 2;
   }
   wal_opts.shards = wal_shards;
@@ -323,13 +308,13 @@ int main(int argc, char** argv) {
   } else {
     adrec::feed::WorkloadOptions wopts = adrec::feed::CaseStudyOptions();
     wopts.days = 1;  // the KB does not depend on trace length
-    kb = adrec::feed::GenerateWorkload(wopts).kb;
+    adrec::feed::Workload workload = adrec::feed::GenerateWorkload(wopts);
+    kb = workload.kb;
+    analyzer = workload.analyzer;  // the KB tokenizes through it
   }
 
   adrec::core::EngineOptions engine_opts;
   if (alpha >= 0.0) engine_opts.alpha = alpha;
-  engine_opts.compressed_index = compressed_index;
-  engine_opts.postings = postings_opts;
   adrec::core::ShardedEngine engine(
       kb, adrec::timeline::TimeSlotScheme::PaperScheme(), shards,
       engine_opts);

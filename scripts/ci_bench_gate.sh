@@ -7,11 +7,7 @@
 # if the traced topk p95 exceeds the untraced one by more than 2%.
 # bench_cache self-gates too: cached hit ratio must exceed 80% at
 # skew >= 0.99 and the cached topk p95 must stay within 1.25x of the
-# uncached skew-0 p95. bench_postings self-gates: sampled results must
-# be byte-identical across the two indexes, compressed topk p95 must
-# stay within 1.15x of uncompressed at 10k ads, and compressed index
-# memory must stay under 0.5x of the uncompressed estimate at the
-# largest scale run. bench_pool self-gates the multi-core scaling curve
+# uncached skew-0 p95. bench_pool self-gates the multi-core scaling curve
 # (E24): >=1.6x at 2 workers and >=2.5x at 4 workers over the
 # single-threaded daemon when the host has that many cores, degrading
 # to a non-collapse bound (>=0.3x) on smaller machines. bench_checkpoint
@@ -49,14 +45,13 @@ trap 'rm -rf "$TMP"' EXIT
 
 # Quick modes: small enough to finish in seconds, large enough that the
 # hot timers clear bench_diff's --min-count sample floor.
-BENCHES="bench_wal bench_serve bench_trace bench_cache bench_postings bench_pool bench_checkpoint"
+BENCHES="bench_wal bench_serve bench_trace bench_cache bench_pool bench_checkpoint"
 args_for() {
   case "$1" in
     bench_wal)      echo "5000" ;;        # max_events
     bench_serve)    echo "4 200" ;;       # connections commands-per-conn
     bench_trace)    echo "2000 5" ;;      # queries-per-round rounds
     bench_cache)    echo "20000 0 0.99 --users=1000" ;;  # ops skews...
-    bench_postings) echo "10000 100000 --queries=2000" ;;  # inventory scales
     bench_pool)     echo "6000 8" ;;      # ops connections
     bench_checkpoint) echo "6000 200" ;;  # events churn-events
   esac

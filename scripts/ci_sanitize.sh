@@ -15,10 +15,7 @@
 #           (cached daemons under client traffic, the follower's
 #           apply-observer invalidation hook, and the 20-seed
 #           cached≡uncached differential across restarts and
-#           replication), and the compressed posting-list index (codec
-#           cursors, epoch seal/swap under engine churn, and the 20-seed
-#           compressed≡uncompressed differential with compressed
-#           followers tailing live daemons), and the multi-core worker
+#           replication), and the multi-core worker
 #           pool (acceptor handing sockets to event-loop workers over
 #           SPSC mailboxes, cross-worker stats/trace merge, per-shard
 #           WAL streams with group commit, and the per-stream repl
@@ -45,7 +42,7 @@ JOBS="$(nproc)"
 
 run_tsan() {
   local build_dir="${1:-build-tsan}"
-  local tsan_tests='obs_registry_test|obs_trace_test|core_engine_stats_test|core_sharded_test|common_histogram_test|feed_replayer_test|serve_daemon_test|serve_reporter_test|serve_trace_test|wal_log_test|serve_wal_test|serve_replica_test|serve_cache_test|cache_differential_test|postings_codec_test|postings_index_test|postings_differential_test|serve_pool_test|wal_delta_checkpoint_test|wal_compact_test|wal_checkpoint_load_test|wal_delta_differential_test'
+  local tsan_tests='obs_registry_test|obs_trace_test|core_engine_stats_test|core_sharded_test|common_histogram_test|feed_replayer_test|serve_daemon_test|serve_reporter_test|serve_trace_test|wal_log_test|serve_wal_test|serve_replica_test|serve_cache_test|cache_differential_test|serve_pool_test|wal_delta_checkpoint_test|wal_compact_test|wal_checkpoint_load_test|wal_delta_differential_test'
   cmake -B "${build_dir}" -S . \
     -DADREC_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -55,7 +52,6 @@ run_tsan() {
     serve_daemon_test serve_reporter_test serve_trace_test \
     wal_log_test serve_wal_test serve_replica_test \
     serve_cache_test cache_differential_test \
-    postings_codec_test postings_index_test postings_differential_test \
     serve_pool_test wal_delta_checkpoint_test wal_compact_test \
     wal_checkpoint_load_test wal_delta_differential_test
   ctest --test-dir "${build_dir}" -R "${tsan_tests}" \

@@ -44,6 +44,8 @@ RecommendationEngine::RecommendationEngine(
       ctr_topk_queries_(metrics_.GetCounter("engine.topk_queries")),
       ctr_impressions_(metrics_.GetCounter("engine.impressions_served")),
       ctr_analyses_(metrics_.GetCounter("engine.analyses_run")),
+      ctr_postings_scanned_(metrics_.GetCounter("index.postings_scanned")),
+      ctr_candidates_(metrics_.GetCounter("index.candidates")),
       g_location_triconcepts_(
           metrics_.GetGauge("tfca.location_triconcepts")),
       g_topic_triconcepts_(metrics_.GetGauge("tfca.topic_triconcepts")),
@@ -61,10 +63,6 @@ RecommendationEngine::RecommendationEngine(
           metrics_.GetTimer("engine.analysis_trias_topic_ms")),
       tm_analysis_decode_(metrics_.GetTimer("engine.analysis_decode_ms")) {
   ADREC_CHECK(kb_ != nullptr);
-  if (options_.compressed_index) {
-    cindex_ = std::make_unique<postings::CompressedAdIndex>(
-        options_.postings, &metrics_);
-  }
 }
 
 void RecommendationEngine::OnTweet(const feed::Tweet& tweet) {
@@ -139,12 +137,8 @@ Status RecommendationEngine::InsertAd(const feed::Ad& ad) {
   }
   obs::StageSpan probe(StageTimer(tm_index_update_), "engine.index_update");
   ADREC_RETURN_NOT_OK(store_.Insert(ad, ctx.topics));
-  Status indexed =
-      cindex_ != nullptr
-          ? cindex_->Insert(ad.id, ctx.topics, ad.target_locations,
-                            ad.target_slots, ad.bid)
-          : index_.Insert(ad.id, ctx.topics, ad.target_locations,
-                          ad.target_slots, ad.bid);
+  Status indexed = index_.Insert(ad.id, ctx.topics, ad.target_locations,
+                                 ad.target_slots, ad.bid);
   if (!indexed.ok()) {
     (void)store_.Remove(ad.id);  // keep store and index consistent
     return indexed;
@@ -158,22 +152,15 @@ Status RecommendationEngine::RemoveAd(AdId id) {
   ++mutation_epoch_;
   obs::StageSpan probe(StageTimer(tm_index_update_), "engine.index_update");
   ADREC_RETURN_NOT_OK(store_.Remove(id));
-  ADREC_RETURN_NOT_OK(cindex_ != nullptr ? cindex_->Remove(id)
-                                         : index_.Remove(id));
+  ADREC_RETURN_NOT_OK(index_.Remove(id));
   ctr_ads_removed_->Inc();
   RefreshIndexGauges();
   return Status::OK();
 }
 
 void RecommendationEngine::RefreshIndexGauges() {
-  if (cindex_ != nullptr) {
-    g_index_ads_->Set(static_cast<double>(cindex_->size()));
-    g_index_postings_bytes_->Set(
-        static_cast<double>(cindex_->approx_bytes()));
-  } else {
-    g_index_ads_->Set(static_cast<double>(index_.size()));
-    g_index_postings_bytes_->Set(static_cast<double>(index_.approx_bytes()));
-  }
+  g_index_ads_->Set(static_cast<double>(index_.size()));
+  g_index_postings_bytes_->Set(static_cast<double>(index_.approx_bytes()));
 }
 
 Status RecommendationEngine::RunAnalysis() {
@@ -303,8 +290,9 @@ std::vector<index::ScoredAd> RecommendationEngine::TopKAdsForTweet(
   // Over-fetch to survive budget filtering, then keep the first k with
   // budget and charge them.
   index::AdQuery query = BuildQuery(tweet, k * 2 + 4);
-  std::vector<index::ScoredAd> ranked =
-      cindex_ != nullptr ? cindex_->TopK(query) : index_.TopK(query);
+  std::vector<index::ScoredAd> ranked = index_.TopK(query);
+  ctr_postings_scanned_->Inc(index_.last_postings_scanned());
+  ctr_candidates_->Inc(index_.last_candidates());
   const bool cap_enabled = options_.frequency_cap.max_impressions > 0;
   std::vector<index::ScoredAd> out;
   for (const index::ScoredAd& sa : ranked) {
@@ -363,8 +351,7 @@ std::vector<index::ScoredAd>
 RecommendationEngine::TopKAdsForTweetExhaustive(const feed::Tweet& tweet,
                                                 size_t k) const {
   index::AdQuery query = BuildQuery(tweet, k);
-  return cindex_ != nullptr ? cindex_->TopKExhaustive(query)
-                            : index_.TopKExhaustive(query);
+  return index_.TopKExhaustive(query);
 }
 
 }  // namespace adrec::core

@@ -16,7 +16,6 @@
 #include "feed/types.h"
 #include "index/ad_index.h"
 #include "obs/metrics.h"
-#include "postings/compressed_index.h"
 #include "profile/user_profile.h"
 #include "timeline/time_slots.h"
 
@@ -41,14 +40,6 @@ struct EngineOptions {
   /// removes the steady_clock reads, which is what the instrumentation-
   /// overhead benchmark toggles.
   bool collect_stage_timings = true;
-  /// Serve ad queries from the compressed posting-list inventory index
-  /// (postings::CompressedAdIndex) instead of the uncompressed AdIndex.
-  /// Results are byte-identical either way (DESIGN.md §15); the trade is
-  /// memory footprint vs. a small query/seal overhead.
-  bool compressed_index = false;
-  /// Compressed-index tuning (seal threshold etc.); used only when
-  /// compressed_index is true.
-  postings::PostingsOptions postings;
 };
 
 /// The serving context TopKAdsForTweet would resolve for a tweet: the
@@ -229,11 +220,6 @@ class RecommendationEngine {
   const ads::FrequencyCapper& frequency_capper() const { return capper_; }
   ads::FrequencyCapper* mutable_frequency_capper() { return &capper_; }
   const index::AdIndex& ad_index() const { return index_; }
-  /// The compressed inventory index, or nullptr when the engine runs the
-  /// uncompressed AdIndex (options.compressed_index == false).
-  const postings::CompressedAdIndex* compressed_index() const {
-    return cindex_.get();
-  }
   const timeline::TimeSlotScheme& slots() const { return slots_; }
   const SemanticRepresentation& semantic() const { return semantic_; }
   size_t tweets_ingested() const { return tweets_ingested_; }
@@ -250,8 +236,8 @@ class RecommendationEngine {
  private:
   index::AdQuery BuildQuery(const feed::Tweet& tweet, size_t k) const;
 
-  /// Publishes the index.ads / index.postings_bytes gauges for whichever
-  /// inventory index is active (called after every insert/remove).
+  /// Publishes the index.ads / index.postings_bytes gauges (called after
+  /// every insert/remove).
   void RefreshIndexGauges();
 
   /// The timer handle if stage timing is on, nullptr (no-op probe) if off.
@@ -267,10 +253,6 @@ class RecommendationEngine {
   TimeAwareConceptAnalysis tfca_;
   ads::AdStore store_;
   index::AdIndex index_;
-  // Non-null iff options_.compressed_index: the serving index becomes the
-  // compressed one and index_ stays empty (constructed in the ctor body,
-  // after metrics_ is live, so it can register its postings.* handles).
-  std::unique_ptr<postings::CompressedAdIndex> cindex_;
   ads::FrequencyCapper capper_;
   std::unordered_map<uint32_t, LocationId> current_location_;
   bool analysis_valid_ = false;
@@ -288,6 +270,8 @@ class RecommendationEngine {
   obs::Counter* ctr_topk_queries_;
   obs::Counter* ctr_impressions_;
   obs::Counter* ctr_analyses_;
+  obs::Counter* ctr_postings_scanned_;
+  obs::Counter* ctr_candidates_;
   obs::Gauge* g_location_triconcepts_;
   obs::Gauge* g_topic_triconcepts_;
   obs::Gauge* g_index_ads_;

@@ -7,99 +7,120 @@
 
 namespace adrec::index {
 
-size_t AdIndex::MetaBytes(const AdMeta& meta) {
-  // Approximate: payload plus ~32B per hash-set node and the struct +
-  // map-node shells. Good enough for capacity planning / E23 ratios.
-  return sizeof(AdMeta) + 64 +
-         meta.topic_ids.size() * sizeof(uint32_t) +
-         meta.topics.entries().size() * sizeof(text::SparseEntry) +
-         (meta.locations.size() + meta.slots.size()) * 32;
+namespace {
+
+template <typename Id>
+std::vector<uint32_t> SortedValues(const std::vector<Id>& ids) {
+  std::vector<uint32_t> out;
+  out.reserve(ids.size());
+  for (Id id : ids) out.push_back(id.value);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+}  // namespace
+
+size_t AdIndex::RecordBytes(const AdRecord& rec) {
+  // The record shell, its seen_ mark and id-map entry, plus the payload
+  // of its three arrays. Good enough for capacity planning.
+  return sizeof(AdRecord) + sizeof(uint32_t) + kPerIdOverhead +
+         rec.topics.entries().size() * sizeof(text::SparseEntry) +
+         (rec.locations.size() + rec.time_slots.size()) * sizeof(uint32_t);
 }
 
 Status AdIndex::Insert(AdId id, const text::SparseVector& topics,
                        const std::vector<LocationId>& target_locations,
                        const std::vector<SlotId>& target_slots, double bid) {
-  if (ads_.find(id.value) != ads_.end()) {
+  const uint32_t slot = free_slots_.empty()
+                            ? static_cast<uint32_t>(records_.size())
+                            : free_slots_.back();
+  if (!slot_of_.emplace(id.value, slot).second) {
     return Status::AlreadyExists(
         StringFormat("ad %u already indexed", id.value));
   }
-  AdMeta meta;
-  meta.bid = bid;
-  meta.topics = topics;
-  for (LocationId l : target_locations) meta.locations.insert(l.value);
-  for (SlotId s : target_slots) meta.slots.insert(s.value);
+  if (slot == records_.size()) {
+    records_.emplace_back();
+    seen_.push_back(0);
+  } else {
+    free_slots_.pop_back();
+  }
+  AdRecord& rec = records_[slot];
+  rec.id = id.value;
+  rec.bid = bid;
+  rec.topics = topics;
+  rec.locations = SortedValues(target_locations);
+  rec.time_slots = SortedValues(target_slots);
   for (const text::SparseEntry& e : topics.entries()) {
     if (e.weight <= 0.0) continue;
-    meta.topic_ids.push_back(e.id);
-    auto& list = postings_[e.id];
-    if (list.empty()) ++num_lists_;
-    // Insert keeping impact (descending-weight) order.
-    const Posting p{id.value, e.weight};
-    auto it = std::lower_bound(list.begin(), list.end(), p,
-                               [](const Posting& a, const Posting& b) {
+    PostingList& list = lists_[e.id];
+    // Insert keeping impact (descending-weight) order, ahead of equal
+    // weights.
+    const Posting p{slot, rec.generation, e.weight};
+    auto it = std::lower_bound(list.postings.begin(), list.postings.end(),
+                               p, [](const Posting& a, const Posting& b) {
                                  return a.weight > b.weight;
                                });
-    list.insert(it, p);
-    ++live_counts_[e.id];
+    list.postings.insert(it, p);
+    ++list.live;
     ++total_postings_;
   }
   max_bid_bound_ = std::max(max_bid_bound_, bid);
-  meta_bytes_ += MetaBytes(meta);
-  ads_.emplace(id.value, std::move(meta));
+  record_bytes_ += RecordBytes(rec);
   return Status::OK();
 }
 
 Status AdIndex::Remove(AdId id) {
-  auto it = ads_.find(id.value);
-  if (it == ads_.end()) {
+  auto it = slot_of_.find(id.value);
+  if (it == slot_of_.end()) {
     return Status::NotFound(StringFormat("ad %u not indexed", id.value));
   }
-  // Lazy delete: drop the meta entry; postings referencing the id become
-  // tombstones skipped at query time and compacted when they dominate.
-  // (Tombstones stay in total_postings_ until CompactList drops them, so
-  // approx_bytes() keeps charging for them — they are resident.)
-  meta_bytes_ -= MetaBytes(it->second);
-  std::vector<uint32_t> topics = std::move(it->second.topic_ids);
-  ads_.erase(it);
-  for (uint32_t topic : topics) {
-    auto lc = live_counts_.find(topic);
-    if (lc == live_counts_.end()) continue;
-    if (lc->second > 0) --lc->second;
-    auto pl = postings_.find(topic);
-    if (pl != postings_.end() && lc->second * 2 < pl->second.size()) {
-      CompactList(topic);
-    }
+  const uint32_t slot = it->second;
+  slot_of_.erase(it);
+  AdRecord& rec = records_[slot];
+  record_bytes_ -= RecordBytes(rec);
+  // Lazy delete: the new generation matches none of the slot's postings,
+  // so they become tombstones skipped at query time and compacted when
+  // they dominate their list. (Tombstones stay in total_postings_ until
+  // CompactList drops them, so approx_bytes() keeps charging for them —
+  // they are resident.)
+  ++rec.generation;
+  for (const text::SparseEntry& e : rec.topics.entries()) {
+    if (e.weight <= 0.0) continue;
+    auto lit = lists_.find(e.id);
+    if (lit == lists_.end()) continue;
+    PostingList& list = lit->second;
+    if (list.live > 0) --list.live;
+    if (list.live * 2 < list.postings.size()) CompactList(e.id);
   }
+  rec.topics = text::SparseVector();
+  rec.locations.clear();
+  rec.time_slots.clear();
+  free_slots_.push_back(slot);
   return Status::OK();
 }
 
 void AdIndex::CompactList(uint32_t topic) {
-  auto it = postings_.find(topic);
-  if (it == postings_.end()) return;
-  auto& list = it->second;
-  const size_t before = list.size();
-  list.erase(std::remove_if(list.begin(), list.end(),
-                            [this](const Posting& p) {
-                              return ads_.find(p.ad) == ads_.end();
-                            }),
-             list.end());
-  total_postings_ -= before - list.size();
-  if (list.empty()) {
-    postings_.erase(it);
-    live_counts_.erase(topic);
-    --num_lists_;
-  } else {
-    live_counts_[topic] = list.size();
-  }
+  auto it = lists_.find(topic);
+  if (it == lists_.end()) return;
+  std::vector<Posting>& postings = it->second.postings;
+  const size_t before = postings.size();
+  postings.erase(std::remove_if(postings.begin(), postings.end(),
+                                [this](const Posting& p) { return Stale(p); }),
+                 postings.end());
+  total_postings_ -= before - postings.size();
+  if (postings.empty()) lists_.erase(it);
 }
 
-bool AdIndex::PassesFilters(const AdMeta& meta, const AdQuery& query) const {
-  if (query.location.valid() && !meta.locations.empty() &&
-      meta.locations.find(query.location.value) == meta.locations.end()) {
+bool AdIndex::PassesFilters(const AdRecord& rec, const AdQuery& query) {
+  if (query.location.valid() && !rec.locations.empty() &&
+      !std::binary_search(rec.locations.begin(), rec.locations.end(),
+                          query.location.value)) {
     return false;
   }
-  if (query.slot.valid() && !meta.slots.empty() &&
-      meta.slots.find(query.slot.value) == meta.slots.end()) {
+  if (query.slot.valid() && !rec.time_slots.empty() &&
+      !std::binary_search(rec.time_slots.begin(), rec.time_slots.end(),
+                          query.slot.value)) {
     return false;
   }
   return true;
@@ -112,59 +133,61 @@ std::vector<ScoredAd> AdIndex::TopK(const AdQuery& query) const {
   // The unseen-ad upper bound is sum_i(query_weight_i * current depth
   // weight_i) * max_bid; once the k-th score reaches it, stop.
   last_postings_scanned_ = 0;
-  if (query.k == 0 || query.topics.empty() || ads_.empty()) return {};
+  last_candidates_ = 0;
+  if (query.k == 0 || query.topics.empty() || slot_of_.empty()) return {};
 
   const double max_bid = max_bid_bound_;
   if (max_bid <= 0.0) return {};
 
   struct Cursor {
     double query_weight;
-    const std::vector<Posting>* list;
-    size_t pos = 0;
+    const Posting* pos;
+    const Posting* end;
   };
   std::vector<Cursor> cursors;
   for (const text::SparseEntry& e : query.topics.entries()) {
     if (e.weight <= 0.0) continue;
-    auto it = postings_.find(e.id);
-    if (it == postings_.end() || it->second.empty()) continue;
-    cursors.push_back(Cursor{e.weight, &it->second, 0});
+    auto it = lists_.find(e.id);
+    if (it == lists_.end() || it->second.postings.empty()) continue;
+    const std::vector<Posting>& postings = it->second.postings;
+    cursors.push_back(
+        Cursor{e.weight, postings.data(), postings.data() + postings.size()});
   }
   if (cursors.empty()) return {};
 
+  if (++epoch_ == 0) {  // wrapped: clear marks left by older epochs
+    std::fill(seen_.begin(), seen_.end(), 0);
+    epoch_ = 1;
+  }
   TopKHeap heap(query.k);
-  std::unordered_set<uint32_t> seen;
   size_t exhausted = 0;
   while (exhausted < cursors.size()) {
     exhausted = 0;
     // One round of sorted accesses.
     for (Cursor& c : cursors) {
       // Skip tombstones at the cursor.
-      while (c.pos < c.list->size() &&
-             ads_.find((*c.list)[c.pos].ad) == ads_.end()) {
+      while (c.pos != c.end && Stale(*c.pos)) {
         ++c.pos;
         ++last_postings_scanned_;
       }
-      if (c.pos >= c.list->size()) {
+      if (c.pos == c.end) {
         ++exhausted;
         continue;
       }
-      const Posting& p = (*c.list)[c.pos++];
+      const uint32_t slot = (c.pos++)->slot;
       ++last_postings_scanned_;
-      if (seen.insert(p.ad).second) {
-        const AdMeta& meta = ads_.at(p.ad);
-        if (PassesFilters(meta, query)) {
-          const double score = query.topics.Dot(meta.topics) * meta.bid;
-          heap.Offer(score, p.ad);
-        }
-      }
+      if (seen_[slot] == epoch_) continue;
+      seen_[slot] = epoch_;
+      const AdRecord& rec = records_[slot];
+      if (!PassesFilters(rec, query)) continue;
+      ++last_candidates_;
+      heap.Offer(query.topics.Dot(rec.topics) * rec.bid, rec.id);
     }
     // Threshold test: best possible score of any unseen ad.
     if (heap.Full()) {
       double bound = 0.0;
       for (const Cursor& c : cursors) {
-        if (c.pos < c.list->size()) {
-          bound += c.query_weight * (*c.list)[c.pos].weight;
-        }
+        if (c.pos != c.end) bound += c.query_weight * c.pos->weight;
       }
       bound *= max_bid;
       // Strict comparison: an unseen ad scoring exactly the threshold
@@ -178,12 +201,15 @@ std::vector<ScoredAd> AdIndex::TopK(const AdQuery& query) const {
 
 std::vector<ScoredAd> AdIndex::TopKExhaustive(const AdQuery& query) const {
   last_postings_scanned_ = 0;
+  last_candidates_ = 0;
   TopKHeap heap(query.k);
-  for (const auto& [id, meta] : ads_) {
+  for (const auto& [id, slot] : slot_of_) {
     ++last_postings_scanned_;
-    if (!PassesFilters(meta, query)) continue;
-    const double dot = query.topics.Dot(meta.topics);
-    if (dot > 0.0) heap.Offer(dot * meta.bid, id);
+    const AdRecord& rec = records_[slot];
+    if (!PassesFilters(rec, query)) continue;
+    ++last_candidates_;
+    const double dot = query.topics.Dot(rec.topics);
+    if (dot > 0.0) heap.Offer(dot * rec.bid, id);
   }
   return heap.Drain();
 }

@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "ads/ad_store.h"
 #include "common/id_types.h"
 #include "common/status.h"
 #include "index/query.h"
@@ -16,9 +14,15 @@ namespace adrec::index {
 
 /// The high-speed matcher: an inverted index over ad topic vectors with
 /// impact-ordered postings and a threshold-based early-termination top-k,
-/// plus location/slot filter bitmaps. Supports incremental insert/delete
-/// (lazy tombstones with periodic compaction), which is what lets the
-/// engine sustain ad churn without rebuilds (E6).
+/// plus location/slot filters. Supports incremental insert/delete (lazy
+/// tombstones with periodic compaction), which is what lets the engine
+/// sustain ad churn without rebuilds (E6).
+///
+/// Layout (DESIGN.md §5.2): every live ad owns one flat record in a dense
+/// array of reusable slots, and postings address records by slot, so the
+/// query path never hashes an ad id. A posting carries the generation of
+/// the slot it was written for; Remove bumps the slot's generation, which
+/// turns all of its postings into tombstones at once.
 class AdIndex {
  public:
   AdIndex() = default;
@@ -38,72 +42,91 @@ class AdIndex {
   /// descending score, ties by ascending ad id; zero-score ads never
   /// appear. Early termination: posting lists are consumed in impact
   /// order and scanning stops when the remaining upper bound cannot beat
-  /// the current k-th score.
+  /// the current k-th score. Scores are SparseVector::Dot's, bit for bit.
   std::vector<ScoredAd> TopK(const AdQuery& query) const;
 
   /// Reference scorer: same semantics via a full scan (the E3 baseline).
   std::vector<ScoredAd> TopKExhaustive(const AdQuery& query) const;
 
   /// Number of live (non-deleted) ads.
-  size_t size() const { return ads_.size(); }
+  size_t size() const { return slot_of_.size(); }
 
-  /// Diagnostics: postings touched by the last TopK call (E3/E4 report).
+  /// Diagnostics: postings touched by the last TopK call, tombstones
+  /// included (E3/E4 report).
   size_t last_postings_scanned() const { return last_postings_scanned_; }
 
-  /// Number of posting lists currently held.
-  size_t num_lists() const { return num_lists_; }
+  /// Diagnostics: ads the last TopK call scored, i.e. live ads it reached
+  /// that passed the location/slot filters.
+  size_t last_candidates() const { return last_candidates_; }
 
   /// Posting entries across all lists, including tombstones awaiting
   /// compaction (they occupy memory until CompactList drops them).
   size_t total_postings() const { return total_postings_; }
 
   /// Approximate resident bytes of the index payload: posting entries
-  /// plus per-ad metadata (topic vectors, filter sets, bookkeeping).
-  /// Maintained incrementally on insert/remove/compact so reading it is
-  /// O(1); compared against postings.bytes of the compressed index in
-  /// bench_postings / E23.
+  /// plus per-ad records and bookkeeping. Maintained incrementally on
+  /// insert/remove/compact so reading it is O(1).
   size_t approx_bytes() const {
-    return total_postings_ * sizeof(Posting) + meta_bytes_ +
-           num_lists_ * kPerListOverhead;
+    return total_postings_ * sizeof(Posting) + record_bytes_ +
+           lists_.size() * kPerListOverhead;
   }
 
  private:
   struct Posting {
-    uint32_t ad;
+    uint32_t slot;
+    uint32_t generation;  // the slot's generation when this was written
     double weight;
   };
 
-  struct AdMeta {
-    double bid = 1.0;
-    std::vector<uint32_t> topic_ids;  // for delete-time cleanup
-    std::unordered_set<uint32_t> locations;  // empty = everywhere
-    std::unordered_set<uint32_t> slots;      // empty = always
-    text::SparseVector topics;
+  struct PostingList {
+    std::vector<Posting> postings;  // descending weight (impact order)
+    size_t live = 0;                // entries that are not tombstones
   };
 
-  // Hash-node + vector-header overhead charged per posting list in
-  // approx_bytes(); a round figure, not a measurement.
+  // One ad's record. A free slot keeps its bumped generation until the
+  // next Insert reuses it.
+  struct AdRecord {
+    uint32_t id = 0;
+    uint32_t generation = 0;
+    double bid = 1.0;
+    text::SparseVector topics;         // id-sorted, as inserted
+    std::vector<uint32_t> locations;   // sorted, unique; empty = everywhere
+    std::vector<uint32_t> time_slots;  // sorted, unique; empty = always
+  };
+
+  // Hash-node + vector-header overhead charged per posting list and per
+  // id-map entry in approx_bytes(); round figures, not measurements.
   static constexpr size_t kPerListOverhead = 64;
+  static constexpr size_t kPerIdOverhead = 32;
 
-  static size_t MetaBytes(const AdMeta& meta);
+  static size_t RecordBytes(const AdRecord& rec);
 
-  bool PassesFilters(const AdMeta& meta, const AdQuery& query) const;
+  bool Stale(const Posting& p) const {
+    return records_[p.slot].generation != p.generation;
+  }
+  static bool PassesFilters(const AdRecord& rec, const AdQuery& query);
   void CompactList(uint32_t topic);
 
-  // topic -> postings sorted by descending weight (impact order).
-  std::unordered_map<uint32_t, std::vector<Posting>> postings_;
-  // topic -> live entries in its list (compaction trigger).
-  std::unordered_map<uint32_t, size_t> live_counts_;
-  std::unordered_map<uint32_t, AdMeta> ads_;
+  std::vector<AdRecord> records_;  // indexed by slot
+  std::vector<uint32_t> free_slots_;
+  // Ad id -> slot. Insert/Remove look ids up here; TopK never does.
+  std::unordered_map<uint32_t, uint32_t> slot_of_;
+  // topic -> its posting list.
+  std::unordered_map<uint32_t, PostingList> lists_;
   // Monotone upper bound on live bids (never lowered on Remove). Safe for
   // the TA stopping rule: a too-high bound only delays termination, it
   // can never admit a wrong result.
   double max_bid_bound_ = 0.0;
+  // TopK's per-query "already scored" marks: seen_[slot] == epoch_ means
+  // the slot was reached by the current query. Bumping the epoch clears
+  // every mark at once.
+  mutable std::vector<uint32_t> seen_;
+  mutable uint32_t epoch_ = 0;
   mutable size_t last_postings_scanned_ = 0;
+  mutable size_t last_candidates_ = 0;
   // Incremental memory accounting (see approx_bytes()).
   size_t total_postings_ = 0;
-  size_t num_lists_ = 0;
-  size_t meta_bytes_ = 0;
+  size_t record_bytes_ = 0;
 };
 
 }  // namespace adrec::index

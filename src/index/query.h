@@ -20,10 +20,6 @@ struct ScoredAd {
 
 /// A per-feed-event query: the event's topic vector plus its hard context
 /// filters (location and time slot). Ads failing a filter score zero.
-///
-/// Shared by both inventory-index implementations — the uncompressed
-/// AdIndex (index/ad_index.h) and the compressed posting-list index
-/// (postings/compressed_index.h) — which must answer it identically.
 struct AdQuery {
   text::SparseVector topics;        ///< annotation-derived topic weights
   LocationId location;              ///< invalid() means "no location filter"

@@ -11,13 +11,11 @@
 namespace adrec::index {
 
 /// Keeps the best k (score, ad) pairs with deterministic tie-breaks
-/// (higher score first, then smaller ad id). Shared by the uncompressed
-/// AdIndex and the compressed posting-list index: the final ranking of a
-/// top-k answer is defined once, so the two implementations cannot
-/// diverge on ordering (the compressed≡uncompressed differential relies
-/// on this). The selected set is order-independent: the comparator is a
-/// strict total order over (score, ad), so offering the same candidates
-/// in any order drains the same result.
+/// (higher score first, then smaller ad id). Shared by AdIndex's TA scan,
+/// its exhaustive reference scorer and WandIndex, so the final ranking of
+/// a top-k answer is defined once. The selected set is order-independent: the
+/// comparator is a strict total order over (score, ad), so offering the
+/// same candidates in any order drains the same result.
 struct TopKHeap {
   struct Entry {
     double score;

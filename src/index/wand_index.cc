@@ -1,56 +1,11 @@
 #include "index/wand_index.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/string_util.h"
+#include "index/topk_heap.h"
 
 namespace adrec::index {
-
-namespace {
-
-/// Same deterministic top-k heap as the TA engine (score desc, id asc).
-struct TopKHeap {
-  struct Entry {
-    double score;
-    uint32_t ad;
-    friend bool operator<(const Entry& a, const Entry& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.ad < b.ad;
-    }
-  };
-
-  explicit TopKHeap(size_t k) : k(k) {}
-
-  void Offer(double score, uint32_t ad) {
-    if (score <= 0.0 || k == 0) return;
-    if (heap.size() < k) {
-      heap.push(Entry{score, ad});
-    } else if (Entry{score, ad} < heap.top()) {
-      heap.pop();
-      heap.push(Entry{score, ad});
-    }
-  }
-
-  double Threshold() const {
-    return heap.size() < k ? 0.0 : heap.top().score;
-  }
-  bool Full() const { return heap.size() >= k; }
-
-  std::vector<ScoredAd> Drain() {
-    std::vector<ScoredAd> out(heap.size());
-    for (size_t i = heap.size(); i-- > 0;) {
-      out[i] = ScoredAd{AdId(heap.top().ad), heap.top().score};
-      heap.pop();
-    }
-    return out;
-  }
-
-  size_t k;
-  std::priority_queue<Entry> heap;
-};
-
-}  // namespace
 
 Status WandIndex::Insert(AdId id, const text::SparseVector& topics,
                          const std::vector<LocationId>& target_locations,

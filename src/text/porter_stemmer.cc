@@ -81,8 +81,9 @@ struct Stem {
 
   // Replaces the current suffix `suffix_len` chars long with `repl`.
   void SetSuffix(size_t suffix_len, std::string_view repl) {
-    buf.replace(end - suffix_len, buf.size() - (end - suffix_len), repl);
-    end = end - suffix_len + repl.size();
+    buf.resize(end - suffix_len);
+    buf.append(repl);
+    end = buf.size();
   }
 
   // If the word ends with `suffix` and the stem before it has measure > m_gt,

@@ -1,6 +1,7 @@
 #include "index/ad_index.h"
 
 #include <algorithm>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -198,13 +199,197 @@ TEST_P(IndexEquivalenceTest, TopKMatchesExhaustiveOnRandomCorpora) {
     ASSERT_EQ(fast.size(), slow.size()) << "query " << q;
     for (size_t i = 0; i < fast.size(); ++i) {
       EXPECT_EQ(fast[i].ad, slow[i].ad) << "query " << q << " rank " << i;
-      EXPECT_NEAR(fast[i].score, slow[i].score, 1e-9);
+      // Bit-exact: both paths score through SparseVector::Dot.
+      EXPECT_EQ(fast[i].score, slow[i].score) << "query " << q << " rank " << i;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCorpora, IndexEquivalenceTest,
                          ::testing::Range(1, 13));
+
+// A removed ad's slot is reused by the next insert; the postings the old
+// occupant left behind carry the old generation and must read as
+// tombstones, never as postings of the new occupant.
+TEST(AdIndexTest, StalePostingNeverScoresForSlotsNewOccupant) {
+  AdIndex idx;
+  for (uint32_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(idx.Insert(AdId(i), Vec({{0, 0.1 + 0.01 * i}}), {}, {}).ok());
+  }
+  ASSERT_TRUE(idx.Insert(AdId(100), Vec({{0, 0.95}}), {}, {}).ok());
+  ASSERT_TRUE(idx.Remove(AdId(100)).ok());
+  // 10 live of 11: the tombstone stays in topic 0's list.
+  EXPECT_EQ(idx.total_postings(), 11u);
+  // The only free slot goes to ad 200, which carries topic 0 only weakly.
+  ASSERT_TRUE(idx.Insert(AdId(200), Vec({{0, 0.01}, {1, 1.0}}), {}, {}).ok());
+
+  // k above the live count: no early stop, every posting is read.
+  auto top = idx.TopK(Query(Vec({{0, 1.0}}), 20));
+  ASSERT_EQ(top.size(), 11u);
+  EXPECT_EQ(top.front().ad, AdId(9));
+  EXPECT_EQ(top.back(), (ScoredAd{AdId(200), 0.01}));
+  EXPECT_EQ(idx.last_postings_scanned(), 12u);  // 11 live + 1 tombstone
+  EXPECT_EQ(idx.last_candidates(), 11u);        // ad 200 scored once
+  EXPECT_EQ(top, idx.TopKExhaustive(Query(Vec({{0, 1.0}}), 20)));
+
+  // k=1: ad 9 wins; the tombstone at the head of the list must not pull
+  // ad 200 in as a candidate.
+  top = idx.TopK(Query(Vec({{0, 1.0}}), 1));
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].ad, AdId(9));
+  EXPECT_EQ(idx.last_candidates(), 1u);
+}
+
+// Re-inserting a removed id writes fresh postings; the old ones stay
+// dead even though the id is live again.
+TEST(AdIndexTest, ReinsertedIdDoesNotReviveOldPostings) {
+  AdIndex idx;
+  for (uint32_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(idx.Insert(AdId(i), Vec({{0, 0.5}}), {}, {}).ok());
+  }
+  ASSERT_TRUE(idx.Remove(AdId(3)).ok());
+  ASSERT_TRUE(idx.Insert(AdId(3), Vec({{1, 0.5}}), {}, {}).ok());
+  auto top = idx.TopK(Query(Vec({{0, 1.0}}), 10));
+  EXPECT_EQ(top.size(), 5u);
+  EXPECT_EQ(idx.last_candidates(), 5u);
+  for (const ScoredAd& sa : top) EXPECT_NE(sa.ad, AdId(3));
+  top = idx.TopK(Query(Vec({{1, 1.0}}), 10));
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0], (ScoredAd{AdId(3), 0.5}));
+}
+
+// Slot reuse and compaction under heavy churn: ads with several target
+// locations and slots come and go over a small id pool (so ids are
+// re-inserted and slots recycled), and after every round TopK must equal
+// an independent brute-force scorer exactly — ids, order and score bits.
+class IndexChurnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
+  struct ModelAd {
+    text::SparseVector topics;
+    std::vector<uint32_t> locations;
+    std::vector<uint32_t> slots;
+    double bid;
+  };
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
+  const uint32_t id_pool = 120;
+  const uint32_t num_topics = 12;
+  const uint32_t num_locations = 6;
+  const uint32_t num_slots = 4;
+  AdIndex idx;
+  std::map<uint32_t, ModelAd> live;
+  bool compacted = false;
+
+  const auto random_topics = [&](size_t max_nnz) {
+    std::vector<text::SparseEntry> entries;
+    const size_t nnz = 1 + rng.NextBounded(max_nnz);
+    for (size_t j = 0; j < nnz; ++j) {
+      entries.push_back({static_cast<uint32_t>(rng.NextBounded(num_topics)),
+                         rng.NextDouble()});
+    }
+    return Vec(std::move(entries));
+  };
+
+  for (int round = 0; round < 30; ++round) {
+    // Inserts (duplicates of live ids are rejected).
+    for (int n = 0; n < 25; ++n) {
+      const uint32_t id = static_cast<uint32_t>(rng.NextBounded(id_pool));
+      ModelAd ad;
+      ad.topics = random_topics(4);
+      std::vector<LocationId> locs;
+      for (uint64_t j = rng.NextBounded(4); j > 0; --j) {
+        locs.push_back(
+            LocationId(static_cast<uint32_t>(rng.NextBounded(num_locations))));
+        ad.locations.push_back(locs.back().value);
+      }
+      std::vector<SlotId> slots;
+      for (uint64_t j = rng.NextBounded(4); j > 0; --j) {
+        slots.push_back(
+            SlotId(static_cast<uint32_t>(rng.NextBounded(num_slots))));
+        ad.slots.push_back(slots.back().value);
+      }
+      ad.bid = 0.5 + rng.NextDouble();
+      const Status st = idx.Insert(AdId(id), ad.topics, locs, slots, ad.bid);
+      if (live.count(id) != 0) {
+        EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
+      } else {
+        ASSERT_TRUE(st.ok());
+        live.emplace(id, std::move(ad));
+      }
+    }
+    // Removals, heavier than inserts in every other round.
+    const int removals = round % 2 == 0 ? 15 : 35;
+    for (int n = 0; n < removals && !live.empty(); ++n) {
+      auto victim = live.begin();
+      std::advance(victim, rng.NextBounded(live.size()));
+      const size_t before = idx.total_postings();
+      ASSERT_TRUE(idx.Remove(AdId(victim->first)).ok());
+      if (idx.total_postings() < before) compacted = true;
+      live.erase(victim);
+    }
+    ASSERT_EQ(idx.size(), live.size());
+    // Tombstones never outnumber live postings (CompactList keeps every
+    // list at least half live).
+    size_t live_postings = 0;
+    for (const auto& [id, ad] : live) {
+      for (const text::SparseEntry& e : ad.topics.entries()) {
+        if (e.weight > 0.0) ++live_postings;
+      }
+    }
+    EXPECT_LE(idx.total_postings(), 2 * live_postings) << "round " << round;
+
+    for (int q = 0; q < 20; ++q) {
+      AdQuery query = Query(random_topics(3), 1 + rng.NextBounded(12));
+      if (rng.NextBool(0.5)) {
+        query.location =
+            LocationId(static_cast<uint32_t>(rng.NextBounded(num_locations)));
+      }
+      if (rng.NextBool(0.5)) {
+        query.slot = SlotId(static_cast<uint32_t>(rng.NextBounded(num_slots)));
+      }
+      const auto passes = [&](const ModelAd& ad) {
+        const auto has = [](const std::vector<uint32_t>& v, uint32_t x) {
+          return v.empty() || std::find(v.begin(), v.end(), x) != v.end();
+        };
+        return (!query.location.valid() ||
+                has(ad.locations, query.location.value)) &&
+               (!query.slot.valid() || has(ad.slots, query.slot.value));
+      };
+      std::vector<ScoredAd> expected;
+      size_t reachable = 0;  // live ads TopK can reach that pass filters
+      for (const auto& [id, ad] : live) {
+        if (!passes(ad)) continue;
+        bool shares_topic = false;
+        for (const text::SparseEntry& e : query.topics.entries()) {
+          shares_topic |= e.weight > 0.0 && ad.topics.Get(e.id) > 0.0;
+        }
+        if (shares_topic) ++reachable;
+        const double score = query.topics.Dot(ad.topics) * ad.bid;
+        if (score > 0.0) expected.push_back(ScoredAd{AdId(id), score});
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const ScoredAd& a, const ScoredAd& b) {
+                  if (a.score != b.score) return a.score > b.score;
+                  return a.ad.value < b.ad.value;
+                });
+      if (expected.size() > query.k) expected.resize(query.k);
+
+      EXPECT_EQ(idx.TopK(query), expected) << "round " << round << " q " << q;
+      EXPECT_EQ(idx.TopKExhaustive(query), expected);
+      // With k above every reachable ad the TA never stops early, so it
+      // scores exactly the reachable ads: a stale posting read as live
+      // would make its slot's new occupant a candidate for a topic it
+      // does not carry.
+      query.k = live.size() + 1;
+      (void)idx.TopK(query);
+      EXPECT_EQ(idx.last_candidates(), reachable)
+          << "round " << round << " q " << q;
+    }
+  }
+  EXPECT_TRUE(compacted);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexChurnTest, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace adrec::index

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "core/sharded_engine.h"
+#include "feed/workload.h"
 #include "obs/metrics.h"
 #include "obs/stats_export.h"
 
@@ -323,6 +325,55 @@ TEST(PrometheusExportTest, CheckpointMetricFamiliesExposeAndRoundTrip) {
   EXPECT_EQ(parsed.value().gauges.at("checkpoint.delta_chain_len"), 3.0);
   ASSERT_EQ(parsed.value().timers.count("checkpoint.save_ms"), 1u);
   EXPECT_EQ(parsed.value().timers.at("checkpoint.save_ms").count, 1u);
+}
+
+// The index's per-query work counters: every TopKAdsForTweet adds the
+// postings its TA scan touched (tombstones included) and the ads it
+// scored after the location/slot filters. They are counted per shard,
+// summed by the merged snapshot the `stats` and `metrics` verbs serve,
+// and exposed as _total counters.
+TEST(PrometheusExportTest, IndexWorkCountersSumPerQueryIndexWork) {
+  feed::WorkloadOptions opts;
+  opts.seed = 77;
+  opts.num_users = 12;
+  opts.num_places = 8;
+  opts.num_ads = 30;
+  opts.days = 2;
+  const feed::Workload workload = feed::GenerateWorkload(opts);
+  core::ShardedEngine engine(workload.kb, workload.slots, /*shards=*/2);
+  for (const feed::Ad& ad : workload.ads) ASSERT_TRUE(engine.InsertAd(ad).ok());
+  for (const feed::FeedEvent& e : workload.MergedEvents()) engine.OnEvent(e);
+
+  uint64_t scanned = 0;
+  uint64_t candidates = 0;
+  for (const feed::Tweet& t : workload.tweets) {
+    (void)engine.TopKAdsForTweet(t, 3);
+    const index::AdIndex& idx =
+        engine.shard(engine.ShardOf(t.user)).ad_index();
+    scanned += idx.last_postings_scanned();
+    candidates += idx.last_candidates();
+  }
+  ASSERT_GT(candidates, 0u);
+  EXPECT_LE(candidates, scanned);
+
+  const MetricsSnapshot snapshot = engine.MergedMetrics();
+  EXPECT_EQ(snapshot.counters.at("index.postings_scanned"), scanned);
+  EXPECT_EQ(snapshot.counters.at("index.candidates"), candidates);
+
+  const std::string prom = ExportPrometheus(snapshot);
+  for (const auto& [family, value] :
+       {std::pair{"adrec_index_postings_scanned_total", scanned},
+        std::pair{"adrec_index_candidates_total", candidates}}) {
+    const std::string name(family);
+    EXPECT_NE(prom.find("# TYPE " + name + " counter\n"), std::string::npos);
+    EXPECT_NE(prom.find(name + " " + std::to_string(value) + "\n"),
+              std::string::npos);
+  }
+  CheckParseable(prom);
+
+  const StatsReport report = BuildReport(snapshot);
+  EXPECT_EQ(report.counters.at("index.postings_scanned"), scanned);
+  EXPECT_EQ(report.counters.at("index.candidates"), candidates);
 }
 
 // The cache trace span names (cache.lookup, cache.fill, and the
