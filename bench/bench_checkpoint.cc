@@ -44,6 +44,7 @@
 #include "wal/checkpoint.h"
 #include "wal/delta/compactor.h"
 #include "wal/record.h"
+#include "wal/sharded_wal.h"
 #include "wal/wal.h"
 
 namespace {
@@ -147,9 +148,10 @@ int main(int argc, char** argv) {
     const std::string dir = FreshDir(adrec::StringFormat("pause_%zu", n));
     adrec::wal::WalOptions lopts;
     lopts.sync = adrec::wal::SyncPolicy::kNone;
-    auto writer = adrec::wal::WalWriter::Open(dir, lopts);
-    ADREC_CHECK(writer.ok());
-    adrec::wal::WalWriter* w = writer.value().get();
+    auto log = adrec::wal::ShardedWal::Open(dir, lopts);
+    ADREC_CHECK(log.ok());
+    adrec::wal::ShardedWal* wal = log.value().get();
+    adrec::wal::WalWriter* w = wal->stream(0);
     adrec::core::ShardedEngine engine(workload.kb, workload.slots, kShards);
     for (const auto& ad : workload.ads) {
       adrec::feed::FeedEvent put;
@@ -172,8 +174,8 @@ int main(int argc, char** argv) {
 
     // Warm both paths: the full save pages everything in, the first
     // delta save is the (full-cost) rebase generation.
-    ADREC_CHECK(full_mgr.Checkpoint(engine, w, clock).ok());
-    ADREC_CHECK(delta_mgr.Checkpoint(engine, w, clock).ok());
+    ADREC_CHECK(full_mgr.Checkpoint(engine, wal, clock).ok());
+    ADREC_CHECK(delta_mgr.Checkpoint(engine, wal, clock).ok());
 
     std::vector<double> full_us, delta_us;
     for (int round = 0; round < kRounds; ++round) {
@@ -181,14 +183,14 @@ int main(int argc, char** argv) {
         Feed(&engine, w, ev);
       }
       double start = NowUs();
-      ADREC_CHECK(full_mgr.Checkpoint(engine, w, clock).ok());
+      ADREC_CHECK(full_mgr.Checkpoint(engine, wal, clock).ok());
       full_us.push_back(NowUs() - start);
 
       for (const auto& ev : ChurnBatch(workload, churn_events, &clock)) {
         Feed(&engine, w, ev);
       }
       start = NowUs();
-      ADREC_CHECK(delta_mgr.Checkpoint(engine, w, clock).ok());
+      ADREC_CHECK(delta_mgr.Checkpoint(engine, wal, clock).ok());
       delta_us.push_back(NowUs() - start);
     }
     const double full_med = Median(full_us);
@@ -251,9 +253,10 @@ int main(int argc, char** argv) {
     adrec::wal::WalOptions lopts;
     lopts.sync = adrec::wal::SyncPolicy::kNone;
     lopts.segment_bytes = 256 * 1024;  // several sealed segments
-    auto writer = adrec::wal::WalWriter::Open(dir, lopts);
-    ADREC_CHECK(writer.ok());
-    adrec::wal::WalWriter* w = writer.value().get();
+    auto log = adrec::wal::ShardedWal::Open(dir, lopts);
+    ADREC_CHECK(log.ok());
+    adrec::wal::ShardedWal* wal = log.value().get();
+    adrec::wal::WalWriter* w = wal->stream(0);
     adrec::core::ShardedEngine engine(workload.kb, workload.slots, kShards);
     adrec::wal::CheckpointOptions copts;
     copts.mode = delta_mode ? adrec::wal::CheckpointMode::kDelta
@@ -269,10 +272,10 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < rec_events.size(); ++i) {
       Feed(&engine, w, rec_events[i]);
       if (delta_mode && (i == marks[0] || i == marks[1] || i == marks[2])) {
-        ADREC_CHECK(manager.Checkpoint(engine, w, rec_events[i].time).ok());
+        ADREC_CHECK(manager.Checkpoint(engine, wal, rec_events[i].time).ok());
       }
       if (!delta_mode && i == marks[2]) {
-        ADREC_CHECK(manager.Checkpoint(engine, w, rec_events[i].time).ok());
+        ADREC_CHECK(manager.Checkpoint(engine, wal, rec_events[i].time).ok());
       }
     }
   }  // both daemons die

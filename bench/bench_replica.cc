@@ -47,7 +47,7 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "wal/checkpoint.h"
-#include "wal/wal.h"
+#include "wal/sharded_wal.h"
 
 namespace {
 
@@ -69,7 +69,7 @@ struct Daemon {
   adrec::feed::Workload workload;
   std::string wal_dir;
   std::unique_ptr<adrec::wal::CheckpointManager> checkpointer;
-  std::unique_ptr<adrec::wal::WalWriter> wal;
+  std::unique_ptr<adrec::wal::ShardedWal> wal;
   std::unique_ptr<adrec::core::ShardedEngine> engine;
   std::unique_ptr<adrec::replica::Follower> follower;
   std::unique_ptr<adrec::serve::Server> server;
@@ -84,10 +84,10 @@ struct Daemon {
         workload.kb, workload.slots, /*num_shards=*/1);
     auto recovered = checkpointer->Recover(engine.get());
     if (!recovered.ok()) return false;
-    auto writer = adrec::wal::WalWriter::Open(
-        dir, adrec::wal::WalOptions{}, recovered.value().next_seqno);
-    if (!writer.ok()) return false;
-    wal = std::move(writer).value();
+    auto opened = adrec::wal::ShardedWal::Open(
+        dir, adrec::wal::WalOptions{}, recovered.value().stream_next_seqnos);
+    if (!opened.ok()) return false;
+    wal = std::move(opened).value();
 
     adrec::serve::ServerOptions options;
     options.wal = wal.get();
@@ -98,8 +98,8 @@ struct Daemon {
       fopts.port = leader_port;
       fopts.backoff_initial = 0.05;
       follower = std::make_unique<adrec::replica::Follower>(
-          engine.get(), wal.get(), fopts);
-      options.follower = follower.get();
+          engine.get(), wal.get(), 0, fopts);
+      options.followers = {follower.get()};
     }
     server = std::make_unique<adrec::serve::Server>(engine.get(), options);
     if (!server->Start().ok()) return false;

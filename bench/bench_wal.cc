@@ -52,6 +52,7 @@
 #include "serve/server.h"
 #include "wal/checkpoint.h"
 #include "wal/record.h"
+#include "wal/sharded_wal.h"
 #include "wal/wal.h"
 
 namespace {
@@ -246,7 +247,7 @@ adrec::obs::StatsReport RunServed(const adrec::feed::Workload& workload,
   for (const auto& ad : workload.ads) {
     (void)engine.InsertAd(ad);
   }
-  std::unique_ptr<adrec::wal::WalWriter> writer;
+  std::unique_ptr<adrec::wal::ShardedWal> writer;
   std::string dir;
   adrec::serve::ServerOptions sopts;
   sopts.max_connections = connections + 4;
@@ -254,7 +255,7 @@ adrec::obs::StatsReport RunServed(const adrec::feed::Workload& workload,
     dir = FreshDir("served_group");
     adrec::wal::WalOptions opts;
     opts.sync = adrec::wal::SyncPolicy::kGroup;
-    auto opened = adrec::wal::WalWriter::Open(dir, opts);
+    auto opened = adrec::wal::ShardedWal::Open(dir, opts);
     ADREC_CHECK(opened.ok());
     writer = std::move(opened).value();
     sopts.wal = writer.get();

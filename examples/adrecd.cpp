@@ -73,10 +73,16 @@
 // worker commits, checkpoints and recovers its own log streams
 // (wal/<shard>/wal-<seqno>.log); --wal-shards also works with
 // --workers=1 (parallel recovery, per-stream replication) and defaults
-// to 1 (the flat single-stream layout). --topk-cache is incompatible
-// with --workers>1. With --follow and --wal-shards=N>1, the daemon runs
-// one replication stream per shard (`repl <shard> <cursor>`), each
-// applied by the worker owning that shard.
+// to 1 (the flat single-stream layout). A log directory written with
+// another --wal-shards is refused at startup, not misread.
+// --topk-cache is incompatible with --workers>1. With --follow, the
+// daemon runs one replication stream per log stream
+// (`repl <stream> <streams> <cursor>`), each applied by the worker owning
+// that stream's shard; a leader with another stream count refuses it.
+//
+// Numeric flags must be whole numbers of their type and in range
+// (counts at most 4096, ports at most 65535); anything else exits 2
+// naming the flag.
 //
 // With --dir, the knowledge base is loaded from DIR/kb.tsv and, when
 // present, DIR/ads.tsv and DIR/trace.tsv are preloaded into the engine
@@ -89,14 +95,17 @@
 // SIGINT, which trigger a graceful drain: stop accepting, flush pending
 // responses, exit 0.
 
+#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
-
+#include <type_traits>
 #include <vector>
 
 #include "annotate/kb_io.h"
@@ -109,7 +118,6 @@
 #include "serve/server.h"
 #include "wal/checkpoint.h"
 #include "wal/sharded_wal.h"
-#include "wal/wal.h"
 
 namespace {
 
@@ -130,6 +138,41 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
   return false;
 }
 
+/// Parses `v` into *out: it must parse whole as T (an integer or a
+/// floating type) and lie in [lo, hi]. A bad value prints the flag's
+/// name and sets *bad (main then exits 2).
+template <typename T>
+void NumValue(const char* name, const char* v, double lo, double hi,
+              T* out, bool* bad) {
+  char* end = nullptr;
+  errno = 0;
+  double x = 0.0;
+  if constexpr (std::is_integral_v<T>) {
+    const long long n = std::strtoll(v, &end, 10);
+    *out = static_cast<T>(n);
+    x = static_cast<double>(n);
+  } else {
+    x = std::strtod(v, &end);
+    *out = static_cast<T>(x);
+  }
+  if (end == v || *end != '\0' || errno == ERANGE || !std::isfinite(x) ||
+      x < lo || x > hi) {
+    std::fprintf(stderr, "%s: '%s' is not %s in [%g, %g]\n", name, v,
+                 std::is_integral_v<T> ? "an integer" : "a number", lo, hi);
+    *bad = true;
+  }
+}
+
+/// Matches `--name=<value>` and parses <value> with NumValue.
+template <typename T>
+bool NumFlag(const char* arg, const char* name, double lo, double hi,
+             T* out, bool* bad) {
+  const char* v = nullptr;
+  if (!FlagValue(arg, name, &v)) return false;
+  NumValue(name, v, lo, hi, out, bad);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,31 +189,54 @@ int main(int argc, char** argv) {
   adrec::serve::ServerOptions options;
   adrec::obs::TraceCollectorOptions trace_opts;
 
-  for (int i = 1; i < argc; ++i) {
+  // Counts are capped at kMaxCount; durations and sampling knobs keep
+  // their meaning of negative and zero values (off / keep everything).
+  constexpr double kMaxCount = 4096;
+  constexpr double kMaxInt = std::numeric_limits<int>::max();
+  constexpr double kMaxI64 = 9.2e18;  // just under INT64_MAX
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double slow_ms = trace_opts.slow_us / 1000.0;
+  bool bad = false;
+  for (int i = 1; i < argc && !bad; ++i) {
+    const char* a = argv[i];
     const char* v = nullptr;
-    if (FlagValue(argv[i], "--port", &v)) {
-      port = static_cast<uint16_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--shards", &v)) {
-      shards = static_cast<size_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--workers", &v)) {
-      workers = static_cast<size_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--wal-shards", &v)) {
-      wal_shards = static_cast<size_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--dir", &v)) {
+    if (NumFlag(a, "--port", 0, 65535, &port, &bad) ||
+        NumFlag(a, "--shards", 0, kMaxCount, &shards, &bad) ||
+        NumFlag(a, "--workers", 0, kMaxCount, &workers, &bad) ||
+        NumFlag(a, "--wal-shards", 0, kMaxCount, &wal_shards, &bad) ||
+        NumFlag(a, "--alpha", -kInf, 1.0, &alpha, &bad) ||
+        NumFlag(a, "--report-interval", -kInf, kInf,
+                &options.report_interval, &bad) ||
+        NumFlag(a, "--max-connections", 0, kMaxInt,
+                &options.max_connections, &bad) ||
+        NumFlag(a, "--idle-timeout", -kMaxI64, kMaxI64,
+                &options.idle_timeout, &bad) ||
+        NumFlag(a, "--checkpoint-interval", -kInf, kInf,
+                &options.checkpoint_interval, &bad) ||
+        NumFlag(a, "--checkpoint-rebase-every", 0, kMaxI64,
+                &ckpt_opts.rebase_every, &bad) ||
+        NumFlag(a, "--compact-interval", -kInf, kInf,
+                &options.compact_interval, &bad) ||
+        NumFlag(a, "--wal-retain", -kMaxI64, kMaxI64,
+                &ckpt_opts.analysis_retention, &bad) ||
+        NumFlag(a, "--wal-append-sample", 0, kMaxI64,
+                &wal_opts.append_sample_every, &bad) ||
+        NumFlag(a, "--trace-ring", 0, kMaxInt, &trace_opts.ring_slots,
+                &bad) ||
+        NumFlag(a, "--trace-slow-ms", -kInf, kInf, &slow_ms, &bad) ||
+        NumFlag(a, "--trace-sample", 0, kMaxI64, &trace_opts.sample_every,
+                &bad) ||
+        NumFlag(a, "--topk-cache", 0, kMaxI64, &options.topk_cache.capacity,
+                &bad)) {
+      continue;
+    }
+    if (FlagValue(a, "--dir", &v)) {
       dir = v;
-    } else if (FlagValue(argv[i], "--alpha", &v)) {
-      alpha = std::atof(v);
-    } else if (FlagValue(argv[i], "--report-interval", &v)) {
-      options.report_interval = std::atof(v);
-    } else if (FlagValue(argv[i], "--max-connections", &v)) {
-      options.max_connections = static_cast<size_t>(std::atoi(v));
-    } else if (FlagValue(argv[i], "--idle-timeout", &v)) {
-      options.idle_timeout = std::atoll(v);
-    } else if (FlagValue(argv[i], "--snapshot-root", &v)) {
+    } else if (FlagValue(a, "--snapshot-root", &v)) {
       options.snapshot_root = v;
-    } else if (FlagValue(argv[i], "--wal-dir", &v)) {
+    } else if (FlagValue(a, "--wal-dir", &v)) {
       wal_dir = v;
-    } else if (FlagValue(argv[i], "--wal-sync", &v)) {
+    } else if (FlagValue(a, "--wal-sync", &v)) {
       auto policy = adrec::wal::ParseSyncPolicy(v);
       if (!policy.ok()) {
         std::fprintf(stderr, "--wal-sync: %s\n",
@@ -178,9 +244,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       wal_opts.sync = policy.value();
-    } else if (FlagValue(argv[i], "--checkpoint-interval", &v)) {
-      options.checkpoint_interval = std::atof(v);
-    } else if (FlagValue(argv[i], "--checkpoint-mode", &v)) {
+    } else if (FlagValue(a, "--checkpoint-mode", &v)) {
       auto mode = adrec::wal::ParseCheckpointMode(v);
       if (!mode.ok()) {
         std::fprintf(stderr, "--checkpoint-mode: %s\n",
@@ -188,26 +252,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       ckpt_opts.mode = mode.value();
-    } else if (FlagValue(argv[i], "--checkpoint-rebase-every", &v)) {
-      ckpt_opts.rebase_every = static_cast<size_t>(std::atoll(v));
-    } else if (FlagValue(argv[i], "--compact-interval", &v)) {
-      options.compact_interval = std::atof(v);
-    } else if (FlagValue(argv[i], "--wal-retain", &v)) {
-      ckpt_opts.analysis_retention = std::atoll(v);
-    } else if (FlagValue(argv[i], "--wal-append-sample", &v)) {
-      wal_opts.append_sample_every =
-          static_cast<uint64_t>(std::atoll(v));
-    } else if (FlagValue(argv[i], "--follow", &v)) {
+    } else if (FlagValue(a, "--follow", &v)) {
       follow = v;
-    } else if (FlagValue(argv[i], "--trace-ring", &v)) {
-      trace_opts.ring_slots = static_cast<size_t>(std::atoll(v));
-    } else if (FlagValue(argv[i], "--trace-slow-ms", &v)) {
-      trace_opts.slow_us = std::atof(v) * 1000.0;
-    } else if (FlagValue(argv[i], "--trace-sample", &v)) {
-      trace_opts.sample_every = static_cast<uint64_t>(std::atoll(v));
-    } else if (FlagValue(argv[i], "--topk-cache", &v)) {
-      options.topk_cache.capacity = static_cast<size_t>(std::atoll(v));
-    } else if (FlagValue(argv[i], "--topk-cache-admission", &v)) {
+    } else if (FlagValue(a, "--topk-cache-admission", &v)) {
       if (std::strcmp(v, "always") == 0) {
         options.topk_cache.admission =
             adrec::cache::TopkCacheOptions::Admission::kAlways;
@@ -240,6 +287,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (bad) return 2;
+  trace_opts.slow_us = slow_ms * 1000.0;
   if (shards == 0) shards = 1;
   if (workers == 0) workers = shards;  // shard-affine by default
   if (wal_shards == 0) wal_shards = 1;
@@ -289,8 +338,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     follow_opts.host = follow.substr(0, colon);
-    follow_opts.port =
-        static_cast<uint16_t>(std::atoi(follow.c_str() + colon + 1));
+    NumValue("--follow", follow.c_str() + colon + 1, 0, 65535,
+             &follow_opts.port, &bad);
+    if (bad) return 2;
   }
 
   // Knowledge base: from --dir when given, synthetic otherwise.
@@ -356,14 +406,13 @@ int main(int argc, char** argv) {
   // warm preload, so a preloaded inventory that was also checkpointed or
   // logged re-applies idempotently (AlreadyExists is tolerated).
   std::unique_ptr<adrec::wal::CheckpointManager> checkpointer;
-  std::unique_ptr<adrec::wal::WalWriter> wal;
-  std::unique_ptr<adrec::wal::ShardedWal> sharded_wal;
+  std::unique_ptr<adrec::wal::ShardedWal> wal;
   adrec::Timestamp recovered_stream_time = 0;
   if (!wal_dir.empty()) {
     checkpointer =
         std::make_unique<adrec::wal::CheckpointManager>(wal_dir, ckpt_opts);
-    // Sharded recovery replays every stream concurrently (one thread per
-    // shard); wal_shards == 1 is the classic single-stream path.
+    // Recovery replays every stream, one thread per stream; a log written
+    // with another --wal-shards is refused rather than misread.
     auto recovered = checkpointer->Recover(&engine, wal_shards);
     if (!recovered.ok()) {
       std::fprintf(stderr, "wal recover: %s\n",
@@ -382,60 +431,34 @@ int main(int argc, char** argv) {
         r.live_replayed,
         static_cast<unsigned long long>(r.torn_bytes_truncated),
         wal_shards);
-    if (wal_shards > 1) {
-      auto opened = adrec::wal::ShardedWal::Open(wal_dir, wal_opts,
-                                                 r.stream_next_seqnos);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "wal open: %s\n",
-                     opened.status().ToString().c_str());
-        return 1;
-      }
-      sharded_wal = std::move(opened).value();
-      options.sharded_wal = sharded_wal.get();
-    } else {
-      auto opened =
-          adrec::wal::WalWriter::Open(wal_dir, wal_opts, r.next_seqno);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "wal open: %s\n",
-                     opened.status().ToString().c_str());
-        return 1;
-      }
-      wal = std::move(opened).value();
-      options.wal = wal.get();
+    auto opened = adrec::wal::ShardedWal::Open(wal_dir, wal_opts,
+                                               r.stream_next_seqnos);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "wal open: %s\n",
+                   opened.status().ToString().c_str());
+      return 1;
     }
+    wal = std::move(opened).value();
+    options.wal = wal.get();
     options.checkpointer = checkpointer.get();
     recovered_stream_time = r.max_event_time;
   }
 
   // Follower mode: replicate the leader's WAL tail from where the local
-  // (just-recovered) log ends. The Follower runs inside the server's
-  // event loop; the server starts read-only until `promote`.
+  // (just-recovered) log ends, one replication stream per log stream:
+  // follower `s` handshakes `repl <s> <streams> <cursor>` and logs into
+  // stream `s` (a pool worker polls the followers of its own shards).
+  // The server starts read-only until `promote`.
   std::vector<std::unique_ptr<adrec::replica::Follower>> followers;
   if (!follow.empty()) {
     follow_opts.tracer = &tracer;
-    if (wal_shards > 1) {
-      // One replication stream per shard: follower `s` handshakes
-      // `repl <s> <cursor>`, logs into its own stream and applies only
-      // to engine shard `s` (the worker owning the shard polls it).
-      options.followers.assign(wal_shards, nullptr);
-      for (size_t s = 0; s < wal_shards; ++s) {
-        adrec::replica::FollowerOptions fo = follow_opts;
-        fo.shard = s;
-        followers.push_back(std::make_unique<adrec::replica::Follower>(
-            &engine, sharded_wal->stream(s), fo));
-        options.followers[s] = followers.back().get();
-      }
-      std::printf(
-          "adrecd following %s:%u with %zu shard streams (read-only)\n",
-          follow_opts.host.c_str(), follow_opts.port, wal_shards);
-    } else {
+    for (size_t s = 0; s < wal_shards; ++s) {
       followers.push_back(std::make_unique<adrec::replica::Follower>(
-          &engine, wal.get(), follow_opts));
-      options.follower = followers.back().get();
-      std::printf("adrecd following %s:%u from cursor %llu (read-only)\n",
-                  follow_opts.host.c_str(), follow_opts.port,
-                  static_cast<unsigned long long>(wal->last_seqno()));
+          &engine, wal.get(), s, follow_opts));
+      options.followers.push_back(followers.back().get());
     }
+    std::printf("adrecd following %s:%u with %zu stream(s) (read-only)\n",
+                follow_opts.host.c_str(), follow_opts.port, wal_shards);
   }
 
   std::signal(SIGPIPE, SIG_IGN);

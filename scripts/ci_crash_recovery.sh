@@ -4,7 +4,9 @@
 # mid-stream (no drain, no goodbye), verifies the log with `adrec_tool
 # wal verify`, restarts the daemon on the same log directory and checks
 # the recovered state serves. Runs the loop twice: once recovering from
-# the log alone, once through an explicit `checkpoint` + tail replay.
+# the log alone, once through an explicit `checkpoint` + tail replay —
+# and all of that twice more with one log stream feeding two shards
+# (--shards=2 --workers=1).
 #
 # Two more phases cover the incremental-durability paths: a kill landing
 # inside a delta checkpoint save (staging wreckage left in
@@ -62,10 +64,13 @@ ingest() {  # ingest <count> <time-base>
   done
 }
 
+# SHAPE is word-split on purpose: empty, or two flags.
+for SHAPE in "" "--shards=2 --workers=1"; do
 for ROUND in log-only checkpointed; do
-  echo "crash-recovery: round $ROUND"
+  echo "crash-recovery: round $ROUND ${SHAPE:-(one shard)}"
   rm -rf "$WAL_DIR"; mkdir -p "$WAL_DIR"
-  start_daemon
+  # shellcheck disable=SC2086
+  start_daemon $SHAPE
 
   expect "OK" adput 1 100 0 1.5 "" "" "coffee and music deals"
   expect "OK" adput 2 100 0 1.2 "" "" "late night food trucks"
@@ -87,7 +92,8 @@ for ROUND in log-only checkpointed; do
   DUMPED="$("$TOOL" wal dump "$WAL_DIR" | wc -l)"
   [ "$DUMPED" -eq 32 ] || { echo "FAIL: dumped $DUMPED records, wanted 32"; exit 1; }
 
-  start_daemon
+  # shellcheck disable=SC2086
+  start_daemon $SHAPE
   grep -q "adrecd recovered from" "$LOG" || { cat "$LOG"; echo "FAIL: no recovery line"; exit 1; }
   if [ "$ROUND" = checkpointed ]; then
     grep -q "checkpoint_seqno=22" "$LOG" || { cat "$LOG"; echo "FAIL: wrong checkpoint seqno"; exit 1; }
@@ -104,6 +110,7 @@ for ROUND in log-only checkpointed; do
   kill -TERM "$DAEMON_PID"
   wait "$DAEMON_PID" || { echo "FAIL: drain exit after recovery"; exit 1; }
   "$TOOL" wal verify "$WAL_DIR" >/dev/null || { echo "FAIL: wal verify after drain"; exit 1; }
+done
 done
 
 echo "crash-recovery: round kill-during-checkpoint-save"

@@ -9,8 +9,11 @@
 # gate covers the daemon binary itself, not just the serve library.
 #
 # Phase 2 reboots the daemon multi-core (--workers=2 --wal-shards=2,
-# DESIGN.md §16): worker-tagged conns output, per-shard WAL stream
+# DESIGN.md §16): worker-tagged conns output, the checkpointer in the
+# pool's stats, the pool's window reporter, per-shard WAL stream
 # directories on disk, and a restart that replays both streams.
+#
+# Phase 3 checks that malformed or out-of-range numeric flags exit 2.
 set -euo pipefail
 
 ADRECD="${1:?usage: ci_serve_smoke.sh <adrecd> <adrec_client>}"
@@ -87,7 +90,7 @@ grep -q "drained" "$LOG" || { cat "$LOG"; echo "FAIL: no drain log line"; exit 1
 boot() {  # boot [extra adrecd flags...]
   : >"$LOG"
   "$ADRECD" --port=0 --shards=2 --workers=2 \
-    --wal-dir="$WALDIR/wal" --wal-shards=2 \
+    --wal-dir="$WALDIR/wal" --wal-shards=2 --report-interval=1 \
     "$@" >"$LOG" 2>&1 &
   DAEMON_PID=$!
   PORT=""
@@ -131,7 +134,34 @@ boot
 echo "smoke: pool daemon recovered on port $PORT"
 expect "STAT engine.tweets 2" stats
 expect "ADS" topk 3 3
+# The pool's exposition carries the checkpointer, like --workers=1.
+expect "OK" checkpoint
+expect "STAT checkpoint.saves 1" stats
+# The window reporter runs in a pool too (lane 0, inside a barrier).
+for _ in $(seq 1 50); do
+  grep -q "window " "$LOG" && break
+  sleep 0.1
+done
+grep -q "window " "$LOG" || { cat "$LOG"; echo "FAIL: pool logged no report window"; exit 1; }
+echo "smoke: pool reports windows and exports checkpoint.*"
 drain
 grep -q "drained" "$LOG" || { cat "$LOG"; echo "FAIL: no pool drain log line"; exit 1; }
+
+# --- Phase 3: numeric flags parse strictly. ---
+
+bad_flag() {  # bad_flag <flag-name> [adrecd flags...]
+  local name="$1"; shift
+  local rc=0 out
+  out="$(timeout 10 "$ADRECD" --port=0 "$@" 2>&1)" || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$out"; echo "FAIL: adrecd $* exited $rc, wanted 2"; exit 1; }
+  case "$out" in
+    *"$name"*) echo "smoke: adrecd $* -> exit 2" ;;
+    *) echo "$out"; echo "FAIL: adrecd $* did not name $name"; exit 1 ;;
+  esac
+}
+bad_flag --shards --shards=-1
+bad_flag --port --port=70000
+bad_flag --shards --shards=two
+bad_flag --follow --wal-dir="$WALDIR/follower" --follow=127.0.0.1:70000
 
 echo "smoke: all serve checks passed"

@@ -17,6 +17,8 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "serve/protocol.h"
+#include "wal/apply.h"
 #include "wal/record.h"
 
 namespace adrec::replica {
@@ -41,24 +43,23 @@ bool ParseU64Field(std::string_view field, uint64_t* out) {
 
 }  // namespace
 
-Follower::Follower(core::ShardedEngine* engine, wal::WalWriter* wal,
-                   FollowerOptions options)
+Follower::Follower(core::ShardedEngine* engine, wal::ShardedWal* wal,
+                   size_t stream, FollowerOptions options)
     : engine_(engine),
-      wal_(wal),
+      stream_(stream),
+      streams_(wal->num_streams()),
+      log_(wal->stream(stream)),
       options_(std::move(options)),
-      applied_seqno_(wal->last_seqno()),
+      applied_seqno_(log_->last_seqno()),
       next_attempt_(std::chrono::steady_clock::now()) {
   ADREC_CHECK(engine_ != nullptr);
-  ADREC_CHECK(wal_ != nullptr);
-  if (options_.shard != SIZE_MAX) {
-    ADREC_CHECK(options_.shard < engine_->num_shards());
-  }
-  // Per-shard followers carry the stream index in their metric names so
+  ADREC_CHECK(stream_ < streams_);
+  ADREC_CHECK(streams_ == 1 || streams_ == engine_->num_shards());
+  // Per-stream followers carry the stream index in their metric names so
   // the N lag gauges survive a registry merge side by side.
-  const std::string prefix =
-      options_.shard == SIZE_MAX
-          ? std::string("replica.")
-          : StringFormat("replica.s%zu.", options_.shard);
+  const std::string prefix = streams_ == 1
+                                 ? std::string("replica.")
+                                 : StringFormat("replica.s%zu.", stream_);
   g_lag_records_ = metrics_.GetGauge(prefix + "lag_records");
   g_lag_ms_ = metrics_.GetGauge(prefix + "lag_ms");
   g_applied_seqno_ = metrics_.GetGauge(prefix + "applied_seqno");
@@ -73,12 +74,7 @@ Follower::Follower(core::ShardedEngine* engine, wal::WalWriter* wal,
 }
 
 std::string Follower::HandshakeLine() const {
-  if (options_.shard == SIZE_MAX) {
-    return StringFormat("repl\t%llu\n",
-                        static_cast<unsigned long long>(wal_->last_seqno()));
-  }
-  return StringFormat("repl\t%zu\t%llu\n", options_.shard,
-                      static_cast<unsigned long long>(wal_->last_seqno()));
+  return serve::FormatReplCmd(stream_, streams_, log_->last_seqno()) + "\n";
 }
 
 Follower::~Follower() {
@@ -219,43 +215,14 @@ void Follower::ApplyEvent(const feed::FeedEvent& event) {
   // metadata in the store (the server's topk cache needs its targeting
   // to compute invalidation fan-out).
   if (apply_observer_) apply_observer_(event);
-  // The same apply semantics as crash recovery (wal/checkpoint.cc):
-  // re-insertion and double-deletion are benign — the leader's log may
-  // overlap what a checkpoint already restored.
-  const size_t shard = options_.shard;
-  switch (event.kind) {
-    case feed::EventKind::kTweet:
-    case feed::EventKind::kCheckIn:
-      if (shard == SIZE_MAX) {
-        engine_->OnEvent(event);
-      } else {
-        // Stream `shard` only carries this shard's users; ApplyToShard
-        // re-checks the routing invariant.
-        engine_->ApplyToShard(shard, event);
-      }
-      break;
-    case feed::EventKind::kAdInsert: {
-      const Status st = shard == SIZE_MAX
-                            ? engine_->InsertAd(event.ad)
-                            : engine_->InsertAdOnShard(shard, event.ad);
-      if (!st.ok() && st.code() != StatusCode::kAlreadyExists) {
-        ctr_apply_errors_->Inc();
-        ADREC_LOG(kError) << "replica: adput apply failed: "
-                          << st.ToString();
-      }
-      break;
-    }
-    case feed::EventKind::kAdDelete: {
-      const Status st = shard == SIZE_MAX
-                            ? engine_->RemoveAd(event.ad_id)
-                            : engine_->RemoveAdOnShard(shard, event.ad_id);
-      if (!st.ok() && st.code() != StatusCode::kNotFound) {
-        ctr_apply_errors_->Inc();
-        ADREC_LOG(kError) << "replica: addel apply failed: "
-                          << st.ToString();
-      }
-      break;
-    }
+  // The same apply rule as crash recovery: re-insertion and
+  // double-deletion are benign — the leader's log may overlap what a
+  // checkpoint already restored.
+  const Status st =
+      wal::ApplyLoggedEvent(engine_, stream_, streams_, event);
+  if (!st.ok()) {
+    ctr_apply_errors_->Inc();
+    ADREC_LOG(kError) << "replica: apply failed: " << st.ToString();
   }
   if (event.time > max_event_time_) max_event_time_ = event.time;
 }
@@ -319,6 +286,16 @@ void Follower::ProcessInput() {
       die_why = "bad payload: " + event.status().message();
       break;
     }
+    // A per-shard stream must only carry its own shard's users: refuse a
+    // foreign frame before it reaches the local log, where recovery
+    // would trip over it on every restart.
+    const Status routed =
+        wal::CheckStreamRouting(*engine_, stream_, streams_, event.value());
+    if (!routed.ok()) {
+      die = true;
+      die_why = "foreign frame: " + routed.message();
+      break;
+    }
     std::unique_ptr<obs::TraceBuilder> trace;
     if (tracing) {
       trace = trace_pool_.Acquire();
@@ -328,7 +305,7 @@ void Follower::ProcessInput() {
     // log (deferred; committed below, before any engine mutation).
     const uint32_t append_span =
         trace != nullptr ? trace->StartSpan("wal.append") : 0;
-    auto seqno = wal_->AppendDeferred(r.payload);
+    auto seqno = log_->AppendDeferred(r.payload);
     if (trace != nullptr) trace->EndSpan(append_span);
     if (!seqno.ok()) {
       die = true;
@@ -349,7 +326,7 @@ void Follower::ProcessInput() {
 
   if (!batch.empty()) {
     const auto commit_t0 = std::chrono::steady_clock::now();
-    const Status st = wal_->Commit();
+    const Status st = log_->Commit();
     const auto commit_t1 = std::chrono::steady_clock::now();
     if (!st.ok()) {
       // Loud, like the serving daemon: records already streamed cannot

@@ -12,21 +12,22 @@
 #include "core/sharded_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "wal/wal.h"
+#include "wal/sharded_wal.h"
 
 namespace adrec::replica {
 
 /// WAL log-shipping replication, follower side (DESIGN.md §12).
 ///
 /// A follower is Recover + live tail apply: the daemon first recovers
-/// its local log directory exactly as a restarting leader would, then a
-/// Follower connects to the leader, sends `repl <cursor>` with the seqno
-/// of the last record it already holds, and applies the resulting frame
-/// stream through the same path recovery uses — each frame is appended
-/// to the follower's OWN write-ahead log and committed before the event
-/// touches the engine, so durability-before-visibility holds on the
-/// replica too and a crashed follower restarts from its local log
-/// without re-fetching history.
+/// its local log directory exactly as a restarting leader would, then
+/// one Follower per log stream connects to the leader, sends
+/// `repl <stream> <streams> <cursor>` with the seqno of the last record
+/// that stream already holds, and applies the resulting frame stream
+/// through the same rule recovery uses (wal/apply.h) — each frame is
+/// appended to the follower's OWN write-ahead log and committed before
+/// the event touches the engine, so durability-before-visibility holds
+/// on the replica too and a crashed follower restarts from its local
+/// log without re-fetching history.
 ///
 /// The class is event-loop furniture, not a thread: serve::Server polls
 /// fd() alongside its client sockets and forwards readiness to
@@ -48,13 +49,6 @@ struct FollowerOptions {
   /// applied frame gets a trace: wal.append → wal.commit_wave →
   /// replica.apply with the engine stage spans nested under the apply.
   obs::TraceCollector* tracer = nullptr;
-  /// Per-shard-stream replication (DESIGN.md §16): when set (!=
-  /// SIZE_MAX), the follower handshakes `repl <shard> <cursor>`, its
-  /// local `wal` is that shard's stream, applies touch only engine shard
-  /// `shard` (ad broadcasts are duplicated into every stream by the
-  /// leader), and the replica.* metrics are prefixed `replica.s<shard>.`
-  /// so N followers' lag gauges stay distinguishable after a merge.
-  size_t shard = SIZE_MAX;
 };
 
 /// Lag and liveness, sampled for the replica.* gauges and bench_replica.
@@ -71,9 +65,13 @@ struct FollowerLag {
 class Follower {
  public:
   /// `engine` and `wal` must outlive the follower. `wal` is the
-  /// follower's local log (already recovered); its last_seqno() is the
-  /// replication cursor.
-  Follower(core::ShardedEngine* engine, wal::WalWriter* wal,
+  /// follower's local log (already recovered); this follower replicates
+  /// its stream `stream`, whose last_seqno() is the cursor. With N > 1
+  /// streams, applies touch only engine shard `stream` (the leader
+  /// duplicates ad ops into every stream), and the replica.* metrics are
+  /// prefixed `replica.s<stream>.` so N followers' lag gauges stay
+  /// distinguishable after a merge.
+  Follower(core::ShardedEngine* engine, wal::ShardedWal* wal, size_t stream,
            FollowerOptions options);
   ~Follower();
 
@@ -143,12 +141,13 @@ class Follower {
   void HandleControlLine(std::string_view line);
   void ApplyEvent(const feed::FeedEvent& event);
   void UpdateLagGauges();
-  /// The `repl ...` handshake for this follower's stream (legacy or
-  /// per-shard form).
+  /// The `repl <stream> <streams> <cursor>` handshake line.
   std::string HandshakeLine() const;
 
   core::ShardedEngine* engine_;  // not owned
-  wal::WalWriter* wal_;          // not owned
+  const size_t stream_;
+  const size_t streams_;
+  wal::WalWriter* log_;  // stream_ of the local log; not owned
   const FollowerOptions options_;
   std::function<void(const feed::FeedEvent&)> apply_observer_;
 

@@ -13,9 +13,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "replica/follower.h"
 #include "wal/sharded_wal.h"
-#include "wal/wal.h"
 
 namespace adrec::serve::pool {
 
@@ -41,9 +39,8 @@ PoolServer::PoolServer(core::ShardedEngine* engine, ServerOptions base,
   // single shared stream would serialise every worker's commit barrier
   // on one file (and recovery on one replay). Allow no log at all
   // (durability off) or exactly one stream per shard.
-  ADREC_CHECK(base_.wal == nullptr);
-  if (base_.sharded_wal != nullptr) {
-    ADREC_CHECK(base_.sharded_wal->num_streams() == engine_->num_shards());
+  if (base_.wal != nullptr) {
+    ADREC_CHECK(base_.wal->num_streams() == engine_->num_shards());
   }
   ADREC_CHECK(base_.topk_cache.capacity == 0);
 
@@ -51,13 +48,9 @@ PoolServer::PoolServer(core::ShardedEngine* engine, ServerOptions base,
 
   // Followers are indexed by WAL stream (= shard); each goes to the
   // worker that owns the shard, so the stream's single mutator is also
-  // its replication applier. Legacy single-follower mode pins it to the
-  // worker owning shard 0.
+  // its replication applier.
   std::vector<std::vector<replica::Follower*>> lane_followers(workers);
-  bool any_follower = base_.follower != nullptr;
-  if (base_.follower != nullptr) {
-    lane_followers[0].push_back(base_.follower);
-  }
+  bool any_follower = false;
   for (size_t s = 0; s < base_.followers.size(); ++s) {
     if (base_.followers[s] == nullptr) continue;
     any_follower = true;
@@ -68,7 +61,6 @@ PoolServer::PoolServer(core::ShardedEngine* engine, ServerOptions base,
     ServerOptions o = base_;
     o.pool = ctx_.get();
     o.lane = lane;
-    o.follower = nullptr;
     o.followers = std::move(lane_followers[lane]);
     // Read-only is pool-wide: a worker with no follower of its own must
     // still refuse writes while its siblings replicate (promote — a
@@ -85,21 +77,7 @@ PoolServer::PoolServer(core::ShardedEngine* engine, ServerOptions base,
     for (const auto& server : servers_) {
       snapshot.MergeFrom(server->metrics().Snapshot());
     }
-    snapshot.MergeFrom(engine_->MergedMetrics());
-    if (base_.sharded_wal != nullptr) {
-      snapshot.MergeFrom(base_.sharded_wal->MergedMetrics());
-    }
-    if (base_.follower != nullptr) {
-      snapshot.MergeFrom(base_.follower->metrics().Snapshot());
-    }
-    for (const replica::Follower* follower : base_.followers) {
-      if (follower != nullptr) {
-        snapshot.MergeFrom(follower->metrics().Snapshot());
-      }
-    }
-    if (base_.tracer != nullptr) {
-      snapshot.MergeFrom(base_.tracer->metrics().Snapshot());
-    }
+    MergeSharedMetrics(*engine_, base_, &snapshot);
     return snapshot;
   };
 }
@@ -219,10 +197,10 @@ void PoolServer::Run() {
   for (std::thread& t : threads_) t.join();
   threads_.clear();
 
-  if (base_.sharded_wal != nullptr) {
+  if (base_.wal != nullptr) {
     // Final durability barrier, once, after every worker stopped (pool
     // workers skip their own final sync; the streams are shared).
-    const Status st = base_.sharded_wal->SyncAll();
+    const Status st = base_.wal->SyncAll();
     if (!st.ok()) {
       ADREC_LOG(kError) << "serve: final pool wal sync failed: "
                         << st.ToString();

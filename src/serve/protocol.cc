@@ -185,27 +185,18 @@ Result<Request> ParseRequest(std::string_view line) {
   }
   if (verb == "repl") {
     req.verb = Verb::kRepl;
-    if (!has_payload) {
-      return Status::InvalidArgument("repl needs <cursor>");
+    const auto fields = SplitString(payload, '\t', /*keep_empty=*/true);
+    if (!has_payload || fields.size() != 3) {
+      return Status::InvalidArgument("repl needs <stream> <streams> <cursor>");
     }
-    const size_t tab = payload.find('\t');
-    if (tab == std::string_view::npos) {
-      auto cursor = ParseU64(payload);
-      if (!cursor.ok()) return cursor.status();
-      req.cursor = cursor.value();
-      return req;
-    }
-    // Two-field form: repl <shard> <cursor> (per-shard log stream).
-    const std::string_view shard_field = payload.substr(0, tab);
-    const std::string_view cursor_field = payload.substr(tab + 1);
-    if (cursor_field.find('\t') != std::string_view::npos) {
-      return Status::InvalidArgument("repl needs <cursor> or <shard> <cursor>");
-    }
-    auto shard = ParseU64(shard_field);
-    if (!shard.ok()) return shard.status();
-    auto cursor = ParseU64(cursor_field);
+    auto stream = ParseU64(fields[0]);
+    if (!stream.ok()) return stream.status();
+    auto streams = ParseU64(fields[1]);
+    if (!streams.ok()) return streams.status();
+    auto cursor = ParseU64(fields[2]);
     if (!cursor.ok()) return cursor.status();
-    req.repl_shard = static_cast<size_t>(shard.value());
+    req.repl_stream = static_cast<size_t>(stream.value());
+    req.repl_streams = static_cast<size_t>(streams.value());
     req.cursor = cursor.value();
     return req;
   }
@@ -288,12 +279,8 @@ std::string FormatSnapshotCmd(std::string_view dir) {
   return "snapshot\t" + std::string(dir);
 }
 
-std::string FormatReplCmd(uint64_t cursor) {
-  return StringFormat("repl\t%llu", static_cast<unsigned long long>(cursor));
-}
-
-std::string FormatReplCmd(size_t shard, uint64_t cursor) {
-  return StringFormat("repl\t%zu\t%llu", shard,
+std::string FormatReplCmd(size_t stream, size_t streams, uint64_t cursor) {
+  return StringFormat("repl\t%zu\t%zu\t%llu", stream, streams,
                       static_cast<unsigned long long>(cursor));
 }
 

@@ -45,16 +45,14 @@ namespace adrec::serve {
 ///        segments dropping superseded inventory records — see
 ///        wal/delta/compactor.h; disabled without --wal-dir. Segments a
 ///        connected follower still needs are preserved.)
-///   repl <cursor>                      -> REPL OK <cursor> / <stream...>
-///        (replication handshake: the connection becomes a one-way WAL
-///        frame stream starting after seqno <cursor> — raw CRC frames
-///        interleaved with `REPL HB <tip>` heartbeats; DESIGN.md §12.
-///        Disabled without --wal-dir.)
-///   repl <shard> <cursor>              -> REPL OK <shard> <cursor> / ...
-///        (per-shard-stream form for a sharded log, DESIGN.md §16: the
-///        connection streams shard <shard>'s WAL only; a follower opens
-///        one such connection per shard. The one-field legacy form is
-///        only valid against a single-stream log, and vice versa.)
+///   repl <stream> <streams> <cursor>   -> REPL OK <stream> <cursor> / ...
+///        (replication handshake, DESIGN.md §12: the connection becomes
+///        a one-way frame stream of WAL stream <stream> starting after
+///        seqno <cursor> — raw CRC frames interleaved with `REPL HB
+///        <tip>` heartbeats. <streams> is the follower's stream count;
+///        a leader whose log has another count answers CLIENT_ERROR. A
+///        follower opens one connection per stream. Disabled without
+///        --wal-dir.)
 ///   promote                            -> OK   (follower only: detach
 ///        from the leader, seal the local log, begin accepting writes)
 ///   trace [tsv|chrome]                 -> TRACE <bytes> / <payload> / END
@@ -132,9 +130,10 @@ struct Request {
   /// kRepl: last WAL seqno the follower already holds (0 = from the
   /// beginning); streaming resumes at cursor + 1.
   uint64_t cursor = 0;
-  /// kRepl: WAL stream requested (two-field form); SIZE_MAX for the
-  /// legacy single-stream handshake.
-  size_t repl_shard = SIZE_MAX;
+  /// kRepl: the WAL stream requested, and the follower's stream count
+  /// (must equal the leader's).
+  size_t repl_stream = 0;
+  size_t repl_streams = 0;
   /// kTrace: dump as Chrome trace-event JSON instead of TSV.
   bool chrome = false;
 };
@@ -155,8 +154,7 @@ std::string FormatTopKCmd(UserId user, size_t k, Timestamp time,
 std::string FormatMatchCmd(AdId id);
 std::string FormatAnalyzeCmd(double alpha);
 std::string FormatSnapshotCmd(std::string_view dir);
-std::string FormatReplCmd(uint64_t cursor);
-std::string FormatReplCmd(size_t shard, uint64_t cursor);
+std::string FormatReplCmd(size_t stream, size_t streams, uint64_t cursor);
 
 }  // namespace adrec::serve
 

@@ -41,12 +41,14 @@ PeriodicReporter::PeriodicReporter(SnapshotFn snapshot_fn,
       last_(snapshot_fn_()),
       last_time_(std::chrono::steady_clock::now()) {}
 
+bool PeriodicReporter::Due() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       last_time_)
+             .count() >= interval_seconds_;
+}
+
 bool PeriodicReporter::TickIfDue() {
-  const auto now = std::chrono::steady_clock::now();
-  if (std::chrono::duration<double>(now - last_time_).count() <
-      interval_seconds_) {
-    return false;
-  }
+  if (!Due()) return false;
   Tick();
   return true;
 }

@@ -47,6 +47,9 @@ class PeriodicReporter {
   PeriodicReporter(SnapshotFn snapshot_fn, double interval_seconds,
                    Sink sink = {});
 
+  /// True once the interval has elapsed since the last window closed.
+  bool Due() const;
+
   /// Closes the window and reports if the interval has elapsed; returns
   /// true when a report was emitted.
   bool TickIfDue();

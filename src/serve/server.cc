@@ -155,26 +155,19 @@ Server::Server(core::ShardedEngine* engine, ServerOptions options)
       ctr_forward_acks_(metrics_.GetCounter("serve.pool_forward_acks")),
       ctr_barrier_ops_(metrics_.GetCounter("serve.pool_barrier_ops")) {
   ADREC_CHECK(engine_ != nullptr);
-  ADREC_CHECK(options_.wal == nullptr || options_.sharded_wal == nullptr);
-  if (options_.sharded_wal != nullptr) {
-    for (size_t s = 0; s < options_.sharded_wal->num_streams(); ++s) {
-      streams_.push_back(options_.sharded_wal->stream(s));
+  if (options_.wal != nullptr) {
+    for (size_t s = 0; s < options_.wal->num_streams(); ++s) {
+      streams_.push_back(options_.wal->stream(s));
     }
     // Stream s holds exactly shard s's history (plus the ad broadcast):
     // any other mapping would break per-shard replay.
     ADREC_CHECK(streams_.size() == 1 ||
                 streams_.size() == engine_->num_shards());
-  } else if (options_.wal != nullptr) {
-    streams_.push_back(options_.wal);
   }
   stream_dirty_.assign(streams_.size(), false);
-  followers_ = options_.followers;
-  if (options_.follower != nullptr) {
-    followers_.push_back(options_.follower);
-  }
   // A follower starts read-only; `promote` is the only way out. A pool
   // worker also starts read-only when any sibling has a follower.
-  read_only_ = !followers_.empty() || options_.start_read_only;
+  read_only_ = !options_.followers.empty() || options_.start_read_only;
   pool_ = options_.pool;
   if (pool_ != nullptr) {
     ADREC_CHECK(options_.lane < pool_->workers);
@@ -184,7 +177,7 @@ Server::Server(core::ShardedEngine* engine, ServerOptions options)
   }
   if (options_.topk_cache.capacity > 0) {
     cache_ = std::make_unique<cache::TopkCache>(options_.topk_cache);
-    for (replica::Follower* follower : followers_) {
+    for (replica::Follower* follower : options_.followers) {
       // Replicated ingest must invalidate exactly like local ingest; the
       // observer fires pre-apply on the event-loop thread.
       follower->set_apply_observer(
@@ -239,6 +232,14 @@ Status Server::Start() {
     return Status::Internal(StringFormat("pipe: %s", std::strerror(errno)));
   }
   ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[0]));
+
+  // One window reporter per daemon: lane 0 reports for a pool. Created
+  // here, before any worker loop runs, because its first scrape must
+  // see the pool quiescent.
+  if (options_.report_interval > 0.0 && options_.lane == 0) {
+    reporter_ = std::make_unique<PeriodicReporter>(
+        [this] { return MergedSnapshot(); }, options_.report_interval);
+  }
 
   // Pool workers do not listen: the PoolServer's acceptor thread owns
   // the listening socket and hands accepted fds over via AdoptSocket.
@@ -589,35 +590,13 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   // Write-ahead: the raw request line is the log payload (the ingest
   // grammar IS the wire grammar), appended before the engine mutates. An
   // event the WAL cannot record is refused — never applied-but-lost.
-  // With per-shard streams, a feed event goes to its owner shard's
-  // stream only; ad ops are duplicated into every stream so each stream
-  // alone totally orders everything that touches its shard.
-  bool wal_appended = false;
-  if (!streams_.empty() &&
-      (req.verb == Verb::kTweet || req.verb == Verb::kCheckIn ||
-       req.verb == Verb::kAdPut || req.verb == Verb::kAdDel)) {
+  const bool wal_appended = !streams_.empty() && IsWriteVerb(req.verb);
+  if (wal_appended) {
     const uint32_t append_span =
         trace != nullptr ? trace->StartSpan("wal.append") : 0;
-    Status append_status = Status::OK();
-    if (req.verb == Verb::kAdPut || req.verb == Verb::kAdDel) {
-      for (size_t s = 0; s < streams_.size() && append_status.ok(); ++s) {
-        auto seqno = streams_[s]->AppendDeferred(line);
-        if (!seqno.ok()) append_status = seqno.status();
-        stream_dirty_[s] = true;
-      }
-    } else {
-      const size_t user_shard =
-          req.verb == Verb::kTweet ? engine_->ShardOf(req.tweet.user)
-                                   : engine_->ShardOf(req.check_in.user);
-      const size_t s = StreamIndexFor(user_shard);
-      auto seqno = streams_[s]->AppendDeferred(line);
-      if (!seqno.ok()) append_status = seqno.status();
-      stream_dirty_[s] = true;
-    }
+    const Status append_status = LogIngest(req, line);
     if (trace != nullptr) trace->EndSpan(append_span);
     if (!append_status.ok()) {
-      ADREC_LOG(kError) << "serve: wal append failed: "
-                        << append_status.ToString();
       EmitReply(conn,
                 "SERVER_ERROR wal append failed" + std::string(kCrlf));
       if (trace != nullptr) {
@@ -627,8 +606,6 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
       }
       return;
     }
-    wal_dirty_ = true;
-    wal_appended = true;
   }
   {
     obs::ScopedTimer timer(tm_cmds_[verb]);
@@ -663,6 +640,30 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   }
 }
 
+Status Server::LogIngest(const Request& req, std::string_view line) {
+  // A feed event goes to its owner shard's stream only; an ad op is
+  // duplicated into every stream, so each stream alone totally orders
+  // everything that touches its shard.
+  size_t first = 0;
+  size_t last = streams_.size();
+  if (req.verb == Verb::kTweet || req.verb == Verb::kCheckIn) {
+    first = StreamIndexFor(engine_->ShardOf(
+        req.verb == Verb::kTweet ? req.tweet.user : req.check_in.user));
+    last = std::min(last, first + 1);
+  }
+  for (size_t s = first; s < last; ++s) {
+    auto seqno = streams_[s]->AppendDeferred(line);
+    if (!seqno.ok()) {
+      ADREC_LOG(kError) << "serve: wal append failed: "
+                        << seqno.status().ToString();
+      return seqno.status();
+    }
+    stream_dirty_[s] = true;
+    wal_dirty_ = true;
+  }
+  return Status::OK();
+}
+
 void Server::ForwardRequest(Connection* conn, const Request& req,
                             std::string_view line, size_t shard,
                             std::unique_ptr<obs::TraceBuilder> trace) {
@@ -692,20 +693,9 @@ void Server::ExecuteForwarded(Request req, std::string line, size_t origin,
       // Same write-ahead discipline as the local path: the owner logs to
       // its own shard stream before it applies, and the ack is withheld
       // until the owner's commit barrier (FlushWaveAcks).
-      const size_t user_shard =
-          req.verb == Verb::kTweet ? engine_->ShardOf(req.tweet.user)
-                                   : engine_->ShardOf(req.check_in.user);
-      if (!streams_.empty()) {
-        const size_t s = StreamIndexFor(user_shard);
-        auto seqno = streams_[s]->AppendDeferred(line);
-        if (!seqno.ok()) {
-          ADREC_LOG(kError) << "serve: forwarded wal append failed: "
-                            << seqno.status().ToString();
-          reply = "SERVER_ERROR wal append failed" + std::string(kCrlf);
-          break;
-        }
-        stream_dirty_[s] = true;
-        wal_dirty_ = true;
+      if (!LogIngest(req, line).ok()) {
+        reply = "SERVER_ERROR wal append failed" + std::string(kCrlf);
+        break;
       }
       if (req.verb == Verb::kTweet) {
         engine_->OnTweet(req.tweet);
@@ -787,20 +777,12 @@ std::string Server::ExecuteQuiesced(const Request& req,
   switch (req.verb) {
     case Verb::kAdPut:
     case Verb::kAdDel: {
-      // Broadcast: the ad op is appended to EVERY stream (each stream
-      // alone must totally order everything touching its shard), then
-      // applied to every shard. The appends stay deferred — the
-      // originating worker's commit barrier (which covers all streams it
-      // dirtied) runs before its reply can flush.
-      for (size_t s = 0; s < streams_.size(); ++s) {
-        auto seqno = streams_[s]->AppendDeferred(line);
-        if (!seqno.ok()) {
-          ADREC_LOG(kError) << "serve: barrier wal append failed: "
-                            << seqno.status().ToString();
-          return "SERVER_ERROR wal append failed" + std::string(kCrlf);
-        }
-        stream_dirty_[s] = true;
-        wal_dirty_ = true;
+      // Broadcast: the ad op is appended to EVERY stream, then applied
+      // to every shard. The appends stay deferred — the originating
+      // worker's commit barrier (which covers all streams it dirtied)
+      // runs before its reply can flush.
+      if (!LogIngest(req, line).ok()) {
+        return "SERVER_ERROR wal append failed" + std::string(kCrlf);
       }
       const Status st = req.verb == Verb::kAdPut
                             ? engine_->InsertAd(req.ad)
@@ -1161,12 +1143,8 @@ std::string Server::ExecuteCheckpoint() {
     return "SERVER_ERROR checkpoint disabled (no wal configured)" +
            std::string(kCrlf);
   }
-  const Status st =
-      options_.sharded_wal != nullptr
-          ? options_.checkpointer->Checkpoint(*engine_, options_.sharded_wal,
-                                              StreamNow())
-          : options_.checkpointer->Checkpoint(*engine_, streams_[0],
-                                              StreamNow());
+  const Status st = options_.checkpointer->Checkpoint(*engine_, options_.wal,
+                                                      StreamNow());
   if (!st.ok()) {
     return "SERVER_ERROR " + st.ToString() + std::string(kCrlf);
   }
@@ -1233,27 +1211,22 @@ std::string Server::ExecuteRepl(const Request& req, Connection* conn) {
     return "SERVER_ERROR replication disabled (no wal configured)" +
            std::string(kCrlf);
   }
-  // Stream selection: the legacy one-field handshake only makes sense
-  // against a single-stream log; a sharded log requires the explicit
-  // `repl <shard> <cursor>` form, one connection per stream.
-  size_t stream = 0;
-  if (req.repl_shard == SIZE_MAX) {
-    if (num_streams() > 1) {
-      return StringFormat(
-                 "CLIENT_ERROR sharded log: use repl <shard> <cursor> "
-                 "(shards 0..%zu)",
-                 num_streams() - 1) +
-             std::string(kCrlf);
-    }
-  } else {
-    if (req.repl_shard >= num_streams()) {
-      return StringFormat("CLIENT_ERROR repl shard %zu out of range (log "
-                          "has %zu streams)",
-                          req.repl_shard, num_streams()) +
-             std::string(kCrlf);
-    }
-    stream = req.repl_shard;
+  // One replication connection per stream, and the follower's log must
+  // have the leader's stream count: stream s replays into engine shard s
+  // on both sides, so any other split would apply another shard's users.
+  if (req.repl_streams != num_streams()) {
+    return StringFormat("CLIENT_ERROR repl: follower has %zu wal "
+                        "stream(s), this log has %zu",
+                        req.repl_streams, num_streams()) +
+           std::string(kCrlf);
   }
+  if (req.repl_stream >= num_streams()) {
+    return StringFormat("CLIENT_ERROR repl stream %zu out of range (log "
+                        "has %zu streams)",
+                        req.repl_stream, num_streams()) +
+           std::string(kCrlf);
+  }
+  const size_t stream = req.repl_stream;
   // Handshake: from here on the connection is a one-way frame stream,
   // fed by PumpReplicas after each wave's durability barrier. The
   // follower's cursor is the last seqno it already holds.
@@ -1267,71 +1240,44 @@ std::string Server::ExecuteRepl(const Request& req, Connection* conn) {
   g_repl_streams_->Set(static_cast<double>(repl_conns));
   ADREC_LOG(kInfo) << "serve: replication stream attached (stream "
                    << stream << ") at cursor " << req.cursor;
-  if (req.repl_shard == SIZE_MAX) {
-    return StringFormat("REPL OK %llu",
-                        static_cast<unsigned long long>(req.cursor)) +
-           std::string(kCrlf);
-  }
   return StringFormat("REPL OK %zu %llu", stream,
                       static_cast<unsigned long long>(req.cursor)) +
          std::string(kCrlf);
 }
 
 std::string Server::ExecutePromote() {
-  if (pool_mode()) {
-    // Runs quiesced (barrier). Promote is pool-wide: every worker's
-    // followers detach, every stream seals, every worker opens for
-    // writes — a pool is promoted once, not worker by worker.
-    bool any_follower = false;
-    for (Server* s : pool_->servers) {
-      any_follower = any_follower || !s->followers().empty();
-    }
-    if (!any_follower) {
-      return "SERVER_ERROR not a follower (nothing to promote)" +
-             std::string(kCrlf);
-    }
-    if (!read_only_) return "OK" + std::string(kCrlf);  // idempotent
-    for (Server* s : pool_->servers) {
-      for (replica::Follower* follower : s->followers()) follower->Detach();
-    }
-    for (wal::WalWriter* stream : streams_) {
-      const Status rotate = stream->Rotate();
-      const Status sync = stream->Sync();
-      if (!rotate.ok() || !sync.ok()) {
-        return "SERVER_ERROR promote seal failed: " +
-               (!rotate.ok() ? rotate.ToString() : sync.ToString()) +
-               std::string(kCrlf);
-      }
-    }
-    for (Server* s : pool_->servers) s->set_read_only(false);
-    ADREC_LOG(kInfo) << "serve: pool promoted to leader ("
-                     << streams_.size() << " streams sealed), accepting "
-                     << "writes";
-    return "OK" + std::string(kCrlf);
+  // A pool runs this quiesced (barrier) and promotes pool-wide: every
+  // worker's followers detach, the log seals, every worker opens for
+  // writes — a pool is promoted once, not worker by worker.
+  const std::vector<Server*> servers =
+      pool_mode() ? pool_->servers : std::vector<Server*>{this};
+  bool any_follower = false;
+  for (Server* s : servers) {
+    any_follower = any_follower || !s->followers().empty();
   }
-  if (followers_.empty()) {
+  if (!any_follower) {
     return "SERVER_ERROR not a follower (nothing to promote)" +
            std::string(kCrlf);
   }
   if (!read_only_) return "OK" + std::string(kCrlf);  // idempotent
-  for (replica::Follower* follower : followers_) follower->Detach();
+  for (Server* s : servers) {
+    for (replica::Follower* follower : s->followers()) follower->Detach();
+  }
   // Seal the replicated history: everything applied as a follower is
   // fdatasynced and closed into an immutable segment before the first
   // write of the new epoch can land. Every stream seals — promotion is a
   // log-wide epoch boundary, not a per-stream one.
-  for (wal::WalWriter* stream : streams_) {
-    const Status rotate = stream->Rotate();
-    const Status sync = stream->Sync();
-    if (!rotate.ok() || !sync.ok()) {
-      return "SERVER_ERROR promote seal failed: " +
-             (!rotate.ok() ? rotate.ToString() : sync.ToString()) +
+  if (options_.wal != nullptr) {
+    Status st = options_.wal->RotateAll();
+    if (st.ok()) st = options_.wal->SyncAll();
+    if (!st.ok()) {
+      return "SERVER_ERROR promote seal failed: " + st.ToString() +
              std::string(kCrlf);
     }
   }
-  read_only_ = false;
-  ADREC_LOG(kInfo) << "serve: promoted to leader ("
-                   << streams_.size() << " streams sealed), accepting "
-                   << "writes";
+  for (Server* s : servers) s->set_read_only(false);
+  ADREC_LOG(kInfo) << "serve: promoted to leader (" << num_streams()
+                   << " streams sealed), accepting writes";
   return "OK" + std::string(kCrlf);
 }
 
@@ -1436,18 +1382,9 @@ void Server::MaybeCheckpoint() {
   if (since < options_.checkpoint_interval) return;
   last_checkpoint_ = now;
   auto do_checkpoint = [this] {
-    const Status st =
-        options_.sharded_wal != nullptr
-            ? options_.checkpointer->Checkpoint(
-                  *engine_, options_.sharded_wal, StreamNow())
-            : options_.checkpointer->Checkpoint(*engine_, streams_[0],
-                                                StreamNow());
-    if (!st.ok()) {
-      ADREC_LOG(kError) << "serve: periodic checkpoint failed: "
-                        << st.ToString();
-    } else {
-      ADREC_LOG(kInfo) << "serve: checkpoint at wal seqno "
-                       << streams_[0]->synced_seqno();
+    const std::string reply = ExecuteCheckpoint();
+    if (!StartsWith(reply, "OK")) {
+      ADREC_LOG(kError) << "serve: periodic checkpoint failed: " << reply;
     }
   };
   if (pool_mode()) {
@@ -1482,6 +1419,34 @@ void Server::MaybeCompact() {
   }
 }
 
+void MergeSharedMetrics(const core::ShardedEngine& engine,
+                        const ServerOptions& options,
+                        obs::MetricsSnapshot* out) {
+  out->MergeFrom(engine.MergedMetrics());
+  if (options.wal != nullptr) out->MergeFrom(options.wal->MergedMetrics());
+  for (const replica::Follower* follower : options.followers) {
+    if (follower != nullptr) out->MergeFrom(follower->metrics().Snapshot());
+  }
+  if (options.checkpointer != nullptr) {
+    out->MergeFrom(options.checkpointer->metrics().Snapshot());
+  }
+  if (options.tracer != nullptr) {
+    out->MergeFrom(options.tracer->metrics().Snapshot());
+  }
+}
+
+void Server::MaybeReport() {
+  if (reporter_ == nullptr || !reporter_->Due()) return;
+  if (pool_mode()) {
+    // The pool-wide scrape is only safe quiescent: stop the world, like
+    // MaybeCheckpoint. Only lane 0 reports (Start creates its reporter).
+    pool_->barrier.Run(options_.lane, &pool_->mail,
+                       [this] { reporter_->Tick(); });
+  } else {
+    reporter_->Tick();
+  }
+}
+
 obs::MetricsSnapshot Server::MergedSnapshot() const {
   if (pool_mode() && pool_->merged_snapshot) {
     // The pool-wide view. Only safe quiescent (stats/metrics run under
@@ -1489,24 +1454,10 @@ obs::MetricsSnapshot Server::MergedSnapshot() const {
     return pool_->merged_snapshot();
   }
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  snapshot.MergeFrom(engine_->MergedMetrics());
   if (cache_ != nullptr) {
     snapshot.MergeFrom(cache_->metrics().Snapshot());
   }
-  if (options_.sharded_wal != nullptr) {
-    snapshot.MergeFrom(options_.sharded_wal->MergedMetrics());
-  } else if (options_.wal != nullptr) {
-    snapshot.MergeFrom(options_.wal->metrics().Snapshot());
-  }
-  for (const replica::Follower* follower : followers_) {
-    snapshot.MergeFrom(follower->metrics().Snapshot());
-  }
-  if (options_.checkpointer != nullptr) {
-    snapshot.MergeFrom(options_.checkpointer->metrics().Snapshot());
-  }
-  if (options_.tracer != nullptr) {
-    snapshot.MergeFrom(options_.tracer->metrics().Snapshot());
-  }
+  MergeSharedMetrics(*engine_, options_, &snapshot);
   return snapshot;
 }
 
@@ -1576,12 +1527,6 @@ void Server::CloseIdle() {
 
 void Server::Run() {
   ADREC_CHECK(listen_fd_ >= 0 || pool_mode());
-  // Pool workers skip the reporter: its merged scrape is only safe
-  // quiescent, and per-worker console cadence would interleave anyway.
-  // The pool view is the `stats` verb (a barrier op).
-  const bool reporting = options_.report_interval > 0.0 && !pool_mode();
-  PeriodicReporter reporter([this] { return MergedSnapshot(); },
-                            reporting ? options_.report_interval : 1e9);
   const auto drain_deadline_never = std::chrono::steady_clock::time_point::max();
   auto drain_deadline = drain_deadline_never;
   last_checkpoint_ = std::chrono::steady_clock::now();
@@ -1617,7 +1562,7 @@ void Server::Run() {
     // Follower mode: every leader connection lives in this poll set —
     // the event loop stays the engine's only mutator, replication
     // included. (A pool worker polls the followers of its own shards.)
-    for (replica::Follower* follower : followers_) {
+    for (replica::Follower* follower : options_.followers) {
       if (follower->detached() || follower->fd() < 0) continue;
       short events = POLLIN;
       if (follower->want_write()) events |= POLLOUT;
@@ -1643,7 +1588,7 @@ void Server::Run() {
     // Timeout: the finest of idle sweep, reporter cadence, drain grace.
     int timeout_ms = -1;
     if (options_.idle_timeout > 0) timeout_ms = 1000;
-    if (reporting) {
+    if (reporter_ != nullptr) {
       const int r = static_cast<int>(options_.report_interval * 1000 / 2);
       timeout_ms = timeout_ms < 0 ? std::max(r, 10)
                                   : std::min(timeout_ms, std::max(r, 10));
@@ -1659,7 +1604,7 @@ void Server::Run() {
       // Periodic checkpoints must fire even on an idle stream.
       timeout_ms = timeout_ms < 0 ? 1000 : std::min(timeout_ms, 1000);
     }
-    for (replica::Follower* follower : followers_) {
+    for (replica::Follower* follower : options_.followers) {
       if (follower->detached()) continue;
       // Reconnect backoff and lag gauges are time-driven.
       const int f = follower->TickDelayMs();
@@ -1725,7 +1670,7 @@ void Server::Run() {
       if (fds[idx].revents != 0) follower->OnPollEvents(fds[idx].revents);
       ++idx;
     }
-    for (replica::Follower* follower : followers_) {
+    for (replica::Follower* follower : options_.followers) {
       follower->Tick();
       // Replicated events drive this daemon's stream clock so time-less
       // `topk` on the replica answers at the replicated position.
@@ -1797,8 +1742,8 @@ void Server::Run() {
     if (!draining_ && (!pool_mode() || options_.lane == 0)) {
       MaybeCheckpoint();
       MaybeCompact();
+      MaybeReport();
     }
-    if (reporting && !draining_) reporter.TickIfDue();
     // Drain semantics: stop reading new requests, flush what is queued.
     if (draining_) {
       for (auto& [fd, conn] : connections_) conn.closing = true;
@@ -1814,15 +1759,12 @@ void Server::Run() {
     // waits on this thread; the PoolServer syncs the streams after every
     // worker has joined.
     pool_->barrier.Deregister(options_.lane);
-  } else {
-    for (wal::WalWriter* stream : streams_) {
-      // Final barrier: under kNone/kInterval the tail of the log may
-      // still be in page cache; a clean shutdown should not lose it.
-      const Status st = stream->Sync();
-      if (!st.ok()) {
-        ADREC_LOG(kError) << "serve: final wal sync failed: "
-                          << st.ToString();
-      }
+  } else if (options_.wal != nullptr) {
+    // Final barrier: under kNone/kInterval the tail of the log may still
+    // be in page cache; a clean shutdown should not lose it.
+    const Status st = options_.wal->SyncAll();
+    if (!st.ok()) {
+      ADREC_LOG(kError) << "serve: final wal sync failed: " << st.ToString();
     }
   }
   ADREC_LOG(kInfo) << "serve: drained, event loop exiting";

@@ -34,6 +34,8 @@ namespace pool {
 struct PoolContext;
 }  // namespace pool
 
+class PeriodicReporter;
+
 /// Daemon configuration.
 struct ServerOptions {
   /// Listen address; loopback by default (adrecd is an internal service).
@@ -71,16 +73,13 @@ struct ServerOptions {
   /// verb is appended (deferred) before it executes, and the event loop
   /// runs a policy-aware Commit() barrier before releasing the batch's
   /// replies — under SyncPolicy::kGroup an acknowledged ingest is on
-  /// disk, at one fdatasync per event-loop batch rather than per record.
-  /// Mutually exclusive with `sharded_wal`.
-  wal::WalWriter* wal = nullptr;
-  /// Per-shard log streams (DESIGN.md §16; not owned; mutually exclusive
-  /// with `wal`). Stream count must equal the engine shard count:
-  /// tweets/check-ins append to their owner shard's stream, ad ops are
-  /// duplicated into every stream, and the commit barrier covers every
-  /// stream the wave dirtied. Replication handshakes use the
-  /// `repl <shard> <cursor>` form, one connection per stream.
-  wal::ShardedWal* sharded_wal = nullptr;
+  /// disk, at one fdatasync per dirty stream per event-loop batch rather
+  /// than per record. The stream count is 1 (every event in one stream)
+  /// or the engine shard count (DESIGN.md §16): tweets/check-ins then
+  /// append to their owner shard's stream, and ad ops are duplicated
+  /// into every stream. Replication serves one `repl` connection per
+  /// stream.
+  wal::ShardedWal* wal = nullptr;
   /// Checkpoint coordinator (not owned; nullptr disables the
   /// `checkpoint` verb and interval checkpointing). Requires a log.
   wal::CheckpointManager* checkpointer = nullptr;
@@ -93,17 +92,13 @@ struct ServerOptions {
   /// Segments a connected follower still needs are never touched.
   /// Requires a log.
   double compact_interval = 0.0;
-  /// Follower mode (not owned; nullptr = this daemon is a leader or a
-  /// standalone). When set, the server polls the follower's leader
-  /// connection inside its own event loop, starts read-only (write verbs
-  /// answer `READONLY`) and stays read-only until the `promote` verb
-  /// detaches the follower. Requires a log (the follower logs before it
-  /// applies). Merged into `followers`.
-  replica::Follower* follower = nullptr;
-  /// Per-shard-stream follower mode: one Follower per WAL stream, every
-  /// one polled by this server's event loop (a pool worker gets the
-  /// followers of the shards it owns). All must detach before `promote`
-  /// lifts the read-only gate.
+  /// Follower mode (not owned; empty = this daemon is a leader or a
+  /// standalone): one Follower per WAL stream, indexed by stream. The
+  /// server polls every follower's leader connection inside its own
+  /// event loop (a pool worker gets the followers of the shards it
+  /// owns), starts read-only (write verbs answer `READONLY`) and stays
+  /// read-only until the `promote` verb detaches them all. Requires a
+  /// log (the follower logs before it applies).
   std::vector<replica::Follower*> followers;
   /// Start read-only even with no follower attached locally: a pool
   /// worker whose shards happen to have no follower still must refuse
@@ -146,6 +141,15 @@ struct ServerOptions {
   /// id (traces, `conns`) is lane + 1.
   size_t lane = 0;
 };
+
+/// Merges the registries every serving view shares into `out`: the
+/// engine's shards, the log's streams, the followers, the checkpointer
+/// and the tracer. Server and PoolServer both build their `stats` /
+/// `metrics` exposition on it, so the families are the same whatever
+/// the worker count.
+void MergeSharedMetrics(const core::ShardedEngine& engine,
+                        const ServerOptions& options,
+                        obs::MetricsSnapshot* out);
 
 /// The adrecd network front end: an event-driven (poll + non-blocking
 /// sockets) TCP daemon speaking the line protocol of serve/protocol.h,
@@ -199,10 +203,10 @@ class Server {
   /// latency, parse errors, sheds, bytes in/out).
   const obs::MetricRegistry& metrics() const { return metrics_; }
 
-  /// serve.* metrics merged with the engine's per-shard registries (and
-  /// the log's wal.* registry when one is attached) — the view the
-  /// `stats` and `metrics` commands export. In pool mode this is the
-  /// pool-wide view (PoolContext::merged_snapshot).
+  /// serve.* metrics merged with the shared registries
+  /// (MergeSharedMetrics) and the topk cache's — the view the `stats`
+  /// and `metrics` commands export. In pool mode this is the pool-wide
+  /// view (PoolContext::merged_snapshot).
   obs::MetricsSnapshot MergedSnapshot() const;
 
   /// Seeds the stream clock (newest-event-time substitution for `topk`)
@@ -219,7 +223,7 @@ class Server {
   void AppendConnsTo(std::string* out, const void* self) const;
   size_t num_connections() const { return connections_.size(); }
   const std::vector<replica::Follower*>& followers() const {
-    return followers_;
+    return options_.followers;
   }
   void set_read_only(bool read_only) { read_only_ = read_only; }
   bool read_only() const { return read_only_; }
@@ -301,6 +305,14 @@ class Server {
   size_t StreamIndexFor(size_t shard) const {
     return streams_.size() <= 1 ? 0 : shard;
   }
+  /// Appends an ingest verb's line to the log (deferred: CommitWal makes
+  /// it durable): a tweet/check-in to its owner shard's stream, an ad op
+  /// to every stream. A no-op without a log.
+  Status LogIngest(const Request& req, std::string_view line);
+  /// Periodic window report (options_.report_interval), run between
+  /// waves like MaybeCheckpoint; a pool reports from lane 0 inside a
+  /// barrier, so the pool-wide scrape is quiescent.
+  void MaybeReport();
 
   std::string ExecuteTopK(const Request& req);
   /// The cached topk path: lookup + revalidate-and-charge, else compute
@@ -342,16 +354,15 @@ class Server {
 
   core::ShardedEngine* engine_;  // not owned
   ServerOptions options_;
-  /// The log as a list of streams: empty (durability off), one (classic
-  /// single log), or one per engine shard (options_.sharded_wal).
+  /// options_.wal's streams: empty (durability off), one, or one per
+  /// engine shard.
   std::vector<wal::WalWriter*> streams_;
   /// Streams with deferred appends awaiting the wave's Commit barrier.
   std::vector<bool> stream_dirty_;
   bool wal_dirty_ = false;
-  /// All attached followers (options_.follower merged into
-  /// options_.followers).
-  std::vector<replica::Follower*> followers_;
   pool::PoolContext* pool_ = nullptr;  // not owned
+  /// Window reporter; null unless this server reports (see MaybeReport).
+  std::unique_ptr<PeriodicReporter> reporter_;
   /// Topk result cache; nullptr when options_.topk_cache.capacity == 0.
   std::unique_ptr<cache::TopkCache> cache_;
   uint16_t port_ = 0;

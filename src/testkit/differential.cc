@@ -12,6 +12,7 @@
 #include "common/string_util.h"
 #include "core/sharded_engine.h"
 #include "core/snapshot.h"
+#include "wal/apply.h"
 #include "wal/checkpoint.h"
 #include "wal/record.h"
 #include "wal/sharded_wal.h"
@@ -51,52 +52,6 @@ std::string DescribeAds(const std::vector<index::ScoredAd>& ads) {
     out += StringFormat("%u:%.17g", sa.ad.value, sa.score);
   }
   return out + "]";
-}
-
-/// The follower/recovery apply semantics (replica/follower.cc,
-/// wal/checkpoint.cc): tweets and check-ins stream through OnEvent,
-/// re-insertion and double-deletion of ads are benign.
-void ApplyReplicated(core::ShardedEngine* engine,
-                     const feed::FeedEvent& event) {
-  switch (event.kind) {
-    case feed::EventKind::kTweet:
-    case feed::EventKind::kCheckIn:
-      engine->OnEvent(event);
-      break;
-    case feed::EventKind::kAdInsert: {
-      const Status st = engine->InsertAd(event.ad);
-      ADREC_CHECK(st.ok() || st.code() == StatusCode::kAlreadyExists);
-      break;
-    }
-    case feed::EventKind::kAdDelete: {
-      const Status st = engine->RemoveAd(event.ad_id);
-      ADREC_CHECK(st.ok() || st.code() == StatusCode::kNotFound);
-      break;
-    }
-  }
-}
-
-/// Per-shard-stream apply: a record read from stream `shard` touches
-/// only that shard (replica::Follower's N-cursor mode). Ad ops arrive
-/// once per stream, so each shard sees its own copy exactly once.
-void ApplyReplicatedToShard(core::ShardedEngine* engine, size_t shard,
-                            const feed::FeedEvent& event) {
-  switch (event.kind) {
-    case feed::EventKind::kTweet:
-    case feed::EventKind::kCheckIn:
-      engine->ApplyToShard(shard, event);
-      break;
-    case feed::EventKind::kAdInsert: {
-      const Status st = engine->InsertAdOnShard(shard, event.ad);
-      ADREC_CHECK(st.ok() || st.code() == StatusCode::kAlreadyExists);
-      break;
-    }
-    case feed::EventKind::kAdDelete: {
-      const Status st = engine->RemoveAdOnShard(shard, event.ad_id);
-      ADREC_CHECK(st.ok() || st.code() == StatusCode::kNotFound);
-      break;
-    }
-  }
 }
 
 /// Byte-compares two canonical snapshot trees. Returns "" when they are
@@ -567,7 +522,7 @@ ReplicaPromotionReport DifferentialChecker::RunReplicaPromotion(
     ADREC_CHECK(static_cast<bool>(torn));
   }
 
-  // --- Follower: one cursor per stream (`repl <shard> <cursor>`),
+  // --- Follower: one cursor per stream (`repl <s> <streams> <cursor>`),
   // log-then-apply into the follower's own per-shard log, alongside the
   // reference engine fed the identical decoded records. Shard states
   // are disjoint, so draining streams sequentially is equivalent to any
@@ -615,9 +570,12 @@ ReplicaPromotionReport DifferentialChecker::RunReplicaPromotion(
         pos = nl + 1;
       }
       ADREC_CHECK(fw->stream(s)->Commit().ok());
+      // The follower's apply rule (wal/apply.h): stream s feeds shard s.
       for (const feed::FeedEvent& event : wave) {
-        ApplyReplicatedToShard(&follower, s, event);
-        ApplyReplicatedToShard(&reference, s, event);
+        ADREC_CHECK(
+            wal::ApplyLoggedEvent(&follower, s, num_streams, event).ok());
+        ADREC_CHECK(
+            wal::ApplyLoggedEvent(&reference, s, num_streams, event).ok());
       }
       report.replicated += wave.size();
       ADREC_CHECK(cb.next_seqno > next);  // forward progress
@@ -657,8 +615,9 @@ ReplicaPromotionReport DifferentialChecker::RunReplicaPromotion(
   // follower, which now logs and applies as a leader. ---
   for (size_t i = crash; i < events.size(); ++i) {
     append_routed(fw, follower, events[i]);
-    ApplyReplicated(&follower, events[i]);
-    ApplyReplicated(&reference, events[i]);
+    // A promoted leader ingests through the engine's own routing.
+    ADREC_CHECK(wal::ApplyLoggedEvent(&follower, 0, 1, events[i]).ok());
+    ADREC_CHECK(wal::ApplyLoggedEvent(&reference, 0, 1, events[i]).ok());
     ++report.post_promote;
   }
   report.detail = compare_at("post");

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "common/string_util.h"
 #include "core/snapshot.h"
 #include "obs/trace.h"
+#include "wal/apply.h"
 #include "wal/delta/delta_checkpoint.h"
 
 namespace adrec::wal {
@@ -99,6 +102,29 @@ Result<CheckpointManifest> ReadManifest(const std::string& checkpoint_dir) {
     m.stream_seqnos.push_back(mark);
   }
   return m;
+}
+
+/// Runs fn(s) for every stream s of an n-stream log: inline for one
+/// stream, one thread per stream otherwise (streams share no state).
+void ForEachStream(size_t n, const std::function<void(size_t)>& fn) {
+  if (n == 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::thread> workers;
+  workers.reserve(n);
+  for (size_t s = 0; s < n; ++s) workers.emplace_back(fn, s);
+  for (std::thread& w : workers) w.join();
+}
+
+/// The engine shards stream `stream` of an n-stream log feeds: every
+/// shard for one stream, shard `stream` alone otherwise.
+std::vector<size_t> StreamShards(size_t num_shards, size_t stream,
+                                 size_t n) {
+  if (n != 1) return {stream};
+  std::vector<size_t> all(num_shards);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return all;
 }
 
 Status RemoveAll(const std::string& path) {
@@ -226,39 +252,6 @@ CheckpointManager::CheckpointManager(std::string wal_dir,
                                      CheckpointOptions options)
     : wal_dir_(std::move(wal_dir)), options_(options) {}
 
-Status CheckpointManager::Checkpoint(const core::ShardedEngine& engine,
-                                     WalWriter* wal, Timestamp stream_now) {
-  if (wal == nullptr) {
-    return Status::InvalidArgument("checkpoint needs a wal writer");
-  }
-  obs::TraceSpan span("checkpoint.save");
-  const auto save_start = std::chrono::steady_clock::now();
-  // Seal + sync first, so the mark covers every record the engine state
-  // below can reflect, and truncation later never touches the active
-  // segment.
-  ADREC_RETURN_NOT_OK(wal->Rotate());
-  ADREC_RETURN_NOT_OK(wal->Sync());
-  const uint64_t mark = wal->synced_seqno();
-
-  if (options_.mode == CheckpointMode::kDelta) {
-    ADREC_RETURN_NOT_OK(DeltaSave(engine, mark, {}, stream_now));
-  } else {
-    ADREC_RETURN_NOT_OK(FullSave(engine, mark, {}, stream_now));
-  }
-
-  if (options_.analysis_retention >= 0) {
-    const Timestamp floor = stream_now - options_.analysis_retention;
-    Result<size_t> deleted = wal->TruncateSealedBefore(mark + 1, floor);
-    if (!deleted.ok()) return deleted.status();
-    if (deleted.value() > 0) {
-      ADREC_LOG(kInfo) << "checkpoint: truncated " << deleted.value()
-                       << " sealed wal segment(s)";
-    }
-  }
-  RecordSave(save_start);
-  return Status::OK();
-}
-
 void CheckpointManager::RecordSave(
     std::chrono::steady_clock::time_point save_start) {
   metrics_.GetCounter("checkpoint.saves")->Inc();
@@ -266,26 +259,6 @@ void CheckpointManager::RecordSave(
       ->Record(std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - save_start)
                    .count());
-}
-
-Status CheckpointManager::FullSave(const core::ShardedEngine& engine,
-                                   uint64_t wal_seqno,
-                                   const std::vector<uint64_t>& stream_seqnos,
-                                   Timestamp stream_now) {
-  const std::string tmp = wal_dir_ + "/checkpoint.tmp";
-  ADREC_RETURN_NOT_OK(RemoveAll(tmp));
-  std::error_code ec;
-  std::filesystem::create_directories(tmp, ec);
-  if (ec) return Status::IoError("cannot create " + tmp + ": " + ec.message());
-
-  for (size_t s = 0; s < engine.num_shards(); ++s) {
-    ADREC_RETURN_NOT_OK(
-        core::SaveEngineSnapshot(engine.shard(s), ShardDir(tmp, s)));
-  }
-  ADREC_RETURN_NOT_OK(
-      WriteFullManifest(tmp, engine.num_shards(), wal_seqno, stream_seqnos,
-                        stream_now));
-  return SwapFullCheckpoint(tmp);
 }
 
 Status CheckpointManager::WriteFullManifest(
@@ -370,109 +343,19 @@ Status CheckpointManager::DeltaSave(const core::ShardedEngine& engine,
   return Status::OK();
 }
 
-Result<RecoveryResult> CheckpointManager::Recover(
-    core::ShardedEngine* engine) const {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("recover needs an engine");
-  }
-  RecoveryResult result;
-
-  // --- Pick the newest loadable checkpoint (classic or delta head). ---
-  const PickedCheckpoint picked = PickCheckpoint(wal_dir_, checkpoint_dir());
-  if (picked.found) {
-    if (picked.manifest.num_shards != engine->num_shards()) {
-      return Status::FailedPrecondition(StringFormat(
-          "checkpoint %s was taken with %zu shard(s), engine has %zu",
-          picked.dir.c_str(), picked.manifest.num_shards,
-          engine->num_shards()));
-    }
-    for (size_t s = 0; s < engine->num_shards(); ++s) {
-      ADREC_RETURN_NOT_OK(
-          core::LoadEngineSnapshot(ShardDir(picked.dir, s),
-                                   engine->mutable_shard(s)));
-    }
-    result.from_checkpoint = true;
-    result.from_delta = picked.is_delta;
-    result.delta_gen = picked.delta_gen;
-    result.delta_chain_len = picked.delta_chain_len;
-    result.checkpoint_seqno = picked.manifest.wal_seqno;
-    result.checkpoint_stream_time = picked.manifest.stream_time;
-    result.max_event_time = picked.manifest.stream_time;
-  }
-  if (!picked.staging.empty()) {
-    // The materialised copy served its purpose; errors only cost disk.
-    const Status st = RemoveAll(picked.staging);
-    if (!st.ok()) ADREC_LOG(kWarning) << st.ToString();
-  }
-
-  // --- Replay the log: window-only up to the mark, live ingest after. ---
-  ScanOptions scan;
-  scan.truncate_torn_tail = true;
-  Status replay_error = Status::OK();
-  auto report = ScanLog(wal_dir_, scan, [&](const Record& record) {
-    auto event = DecodeEventPayload(record.payload);
-    if (!event.ok()) {
-      replay_error = Status::IoError(StringFormat(
-          "wal record %llu: %s",
-          static_cast<unsigned long long>(record.seqno),
-          event.status().message().c_str()));
-      return replay_error;
-    }
-    feed::FeedEvent& ev = event.value();
-    if (ev.time > result.max_event_time) result.max_event_time = ev.time;
-    if (record.seqno <= result.checkpoint_seqno) {
-      engine->ReplayForAnalysis(ev);
-      ++result.window_replayed;
-      return Status::OK();
-    }
-    switch (ev.kind) {
-      case feed::EventKind::kTweet:
-      case feed::EventKind::kCheckIn:
-        engine->OnEvent(ev);
-        break;
-      case feed::EventKind::kAdInsert: {
-        // The checkpoint may already contain the ad (logged before the
-        // snapshot caught up with it): re-insertion is benign.
-        const Status st = engine->InsertAd(ev.ad);
-        if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
-        break;
-      }
-      case feed::EventKind::kAdDelete: {
-        const Status st = engine->RemoveAd(ev.ad_id);
-        if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
-        break;
-      }
-    }
-    ++result.live_replayed;
-    return Status::OK();
-  });
-  if (!report.ok()) return report.status();
-  if (!replay_error.ok()) return replay_error;
-
-  result.torn_bytes_truncated = report.value().torn_bytes;
-  result.next_seqno =
-      std::max(report.value().last_seqno, result.checkpoint_seqno) + 1;
-  result.stream_checkpoint_seqnos = {result.checkpoint_seqno};
-  result.stream_next_seqnos = {result.next_seqno};
-  return result;
-}
-
 Status CheckpointManager::Checkpoint(const core::ShardedEngine& engine,
                                      ShardedWal* wal, Timestamp stream_now) {
   if (wal == nullptr) {
-    return Status::InvalidArgument("checkpoint needs a wal writer");
+    return Status::InvalidArgument("checkpoint needs a wal");
   }
-  if (wal->num_streams() == 1) {
-    return Checkpoint(engine, wal->stream(0), stream_now);
-  }
-  if (wal->num_streams() != engine.num_shards()) {
+  const size_t n = wal->num_streams();
+  if (n != 1 && n != engine.num_shards()) {
     return Status::FailedPrecondition(StringFormat(
-        "wal has %zu stream(s), engine has %zu shard(s)",
-        wal->num_streams(), engine.num_shards()));
+        "wal has %zu stream(s), engine has %zu shard(s)", n,
+        engine.num_shards()));
   }
   obs::TraceSpan span("checkpoint.save");
   const auto save_start = std::chrono::steady_clock::now();
-  const size_t n = wal->num_streams();
 
   std::string tmp;
   if (options_.mode == CheckpointMode::kFull) {
@@ -485,41 +368,38 @@ Status CheckpointManager::Checkpoint(const core::ShardedEngine& engine,
     }
   }
 
-  // Seal (+ snapshot, in full mode) every shard concurrently: each
-  // thread touches only its own stream and engine shard. The mark is
-  // taken after the sync, so it covers every record the shard snapshot
-  // can reflect. Delta mode snapshots after the barrier instead — the
-  // diff needs the previous generation's manifest as a whole, and quiet
-  // shards skip serialization entirely.
+  // Seal (+ snapshot, in full mode) every stream's shards, one thread
+  // per stream. The mark is taken after the sync, so it covers every
+  // record the snapshot can reflect, and truncation later never touches
+  // the active segment. Delta mode snapshots after the barrier instead —
+  // the diff needs the previous generation's manifest as a whole, and
+  // quiet shards skip serialization entirely.
   std::vector<uint64_t> marks(n, 0);
   std::vector<Status> results(n);
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      workers.emplace_back([&, s] {
-        WalWriter* stream = wal->stream(s);
-        results[s] = stream->Rotate();
-        if (results[s].ok()) results[s] = stream->Sync();
-        if (!results[s].ok()) return;
-        marks[s] = stream->synced_seqno();
-        if (options_.mode == CheckpointMode::kFull) {
-          results[s] =
-              core::SaveEngineSnapshot(engine.shard(s), ShardDir(tmp, s));
-        }
-      });
+  ForEachStream(n, [&](size_t s) {
+    WalWriter* stream = wal->stream(s);
+    results[s] = stream->Rotate();
+    if (results[s].ok()) results[s] = stream->Sync();
+    if (!results[s].ok()) return;
+    marks[s] = stream->synced_seqno();
+    if (options_.mode != CheckpointMode::kFull) return;
+    for (size_t shard : StreamShards(engine.num_shards(), s, n)) {
+      results[s] =
+          core::SaveEngineSnapshot(engine.shard(shard), ShardDir(tmp, shard));
+      if (!results[s].ok()) return;
     }
-    for (std::thread& w : workers) w.join();
-  }
+  });
   for (const Status& st : results) ADREC_RETURN_NOT_OK(st);
   const uint64_t max_mark = *std::max_element(marks.begin(), marks.end());
+  // A one-stream manifest carries no per-stream marks (classic layout).
+  const std::vector<uint64_t> stream_marks =
+      n == 1 ? std::vector<uint64_t>{} : marks;
 
   if (options_.mode == CheckpointMode::kDelta) {
-    ADREC_RETURN_NOT_OK(DeltaSave(engine, max_mark, marks, stream_now));
+    ADREC_RETURN_NOT_OK(DeltaSave(engine, max_mark, stream_marks, stream_now));
   } else {
-    ADREC_RETURN_NOT_OK(
-        WriteFullManifest(tmp, engine.num_shards(), max_mark, marks,
-                          stream_now));
+    ADREC_RETURN_NOT_OK(WriteFullManifest(tmp, engine.num_shards(), max_mark,
+                                          stream_marks, stream_now));
     ADREC_RETURN_NOT_OK(SwapFullCheckpoint(tmp));
   }
 
@@ -542,48 +422,56 @@ Status CheckpointManager::Checkpoint(const core::ShardedEngine& engine,
   return Status::OK();
 }
 
-Result<RecoveryResult> CheckpointManager::Recover(
-    core::ShardedEngine* engine, size_t wal_shards) const {
-  if (wal_shards <= 1) return Recover(engine);
+Result<RecoveryResult> CheckpointManager::Recover(core::ShardedEngine* engine,
+                                                  size_t wal_streams) const {
   if (engine == nullptr) {
     return Status::InvalidArgument("recover needs an engine");
   }
-  if (engine->num_shards() != wal_shards) {
+  const size_t n = wal_streams;
+  if (n == 0 || (n != 1 && n != engine->num_shards())) {
     return Status::FailedPrecondition(StringFormat(
-        "wal has %zu stream(s), engine has %zu shard(s)", wal_shards,
+        "wal has %zu stream(s), engine has %zu shard(s)", n,
         engine->num_shards()));
   }
+  // A log read with the wrong stream count replays nothing (or the wrong
+  // shard's history): refuse it like ShardedWal::Open would.
+  ADREC_RETURN_NOT_OK(CheckStreamLayout(wal_dir_, n));
   RecoveryResult result;
-  result.stream_checkpoint_seqnos.assign(wal_shards, 0);
-  result.stream_next_seqnos.assign(wal_shards, 1);
+  result.stream_checkpoint_seqnos.assign(n, 0);
+  result.stream_next_seqnos.assign(n, 1);
 
   // --- Pick the newest loadable checkpoint (classic or delta head). ---
   const PickedCheckpoint picked = PickCheckpoint(wal_dir_, checkpoint_dir());
   if (picked.found) {
-    if (picked.manifest.num_shards != engine->num_shards()) {
+    const CheckpointManifest& m = picked.manifest;
+    if (m.num_shards != engine->num_shards()) {
       return Status::FailedPrecondition(StringFormat(
           "checkpoint %s was taken with %zu shard(s), engine has %zu",
-          picked.dir.c_str(), picked.manifest.num_shards,
-          engine->num_shards()));
+          picked.dir.c_str(), m.num_shards, engine->num_shards()));
     }
-    if (picked.manifest.stream_seqnos.size() != wal_shards) {
+    // One stream: the manifest's wal seqno is the mark. N streams: one
+    // "S" mark per stream.
+    if (m.stream_seqnos.size() != (n == 1 ? 0 : n)) {
       return Status::FailedPrecondition(StringFormat(
-          "checkpoint %s records %zu wal stream(s), expected %zu",
-          picked.dir.c_str(), picked.manifest.stream_seqnos.size(),
-          wal_shards));
+          "checkpoint %s records %zu wal stream mark(s), expected %zu "
+          "stream(s)",
+          picked.dir.c_str(), m.stream_seqnos.size(), n));
     }
     result.from_checkpoint = true;
     result.from_delta = picked.is_delta;
     result.delta_gen = picked.delta_gen;
     result.delta_chain_len = picked.delta_chain_len;
-    result.stream_checkpoint_seqnos = picked.manifest.stream_seqnos;
-    result.checkpoint_stream_time = picked.manifest.stream_time;
-    result.max_event_time = picked.manifest.stream_time;
+    result.stream_checkpoint_seqnos =
+        n == 1 ? std::vector<uint64_t>{m.wal_seqno} : m.stream_seqnos;
+    result.checkpoint_stream_time = m.stream_time;
+    result.max_event_time = m.stream_time;
   }
 
-  // --- Load + replay every shard concurrently: thread s touches only
-  // engine shard s and log stream s. ---
-  struct PerShard {
+  // --- Load + replay, one thread per stream: thread s touches only log
+  // stream s and the engine shards it feeds (all of them for one
+  // stream). Records up to the mark are re-fed window-only; records past
+  // it go through normal ingest. ---
+  struct PerStream {
     Status status = Status::OK();
     size_t window_replayed = 0;
     size_t live_replayed = 0;
@@ -591,84 +479,65 @@ Result<RecoveryResult> CheckpointManager::Recover(
     uint64_t last_seqno = 0;
     Timestamp max_event_time = INT64_MIN;
   };
-  std::vector<PerShard> per_shard(wal_shards);
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(wal_shards);
-    for (size_t s = 0; s < wal_shards; ++s) {
-      workers.emplace_back([&, s] {
-        PerShard& out = per_shard[s];
-        const uint64_t mark = result.stream_checkpoint_seqnos[s];
-        if (result.from_checkpoint) {
-          out.status = core::LoadEngineSnapshot(ShardDir(picked.dir, s),
-                                                engine->mutable_shard(s));
-          if (!out.status.ok()) return;
-        }
-        ScanOptions scan;
-        scan.truncate_torn_tail = true;
-        Status replay_error = Status::OK();
-        auto report = ScanLog(
-            StreamDir(wal_dir_, s, wal_shards), scan,
-            [&](const Record& record) {
-              auto event = DecodeEventPayload(record.payload);
-              if (!event.ok()) {
-                replay_error = Status::IoError(StringFormat(
-                    "wal stream %zu record %llu: %s", s,
-                    static_cast<unsigned long long>(record.seqno),
-                    event.status().message().c_str()));
-                return replay_error;
-              }
-              feed::FeedEvent& ev = event.value();
-              if (ev.time > out.max_event_time) out.max_event_time = ev.time;
-              if (record.seqno <= mark) {
-                engine->ReplayForAnalysisShard(s, ev);
-                ++out.window_replayed;
-                return Status::OK();
-              }
-              switch (ev.kind) {
-                case feed::EventKind::kTweet:
-                case feed::EventKind::kCheckIn:
-                  engine->ApplyToShard(s, ev);
-                  break;
-                case feed::EventKind::kAdInsert: {
-                  const Status st = engine->InsertAdOnShard(s, ev.ad);
-                  if (!st.ok() &&
-                      st.code() != StatusCode::kAlreadyExists) {
-                    return st;
-                  }
-                  break;
-                }
-                case feed::EventKind::kAdDelete: {
-                  const Status st = engine->RemoveAdOnShard(s, ev.ad_id);
-                  if (!st.ok() && st.code() != StatusCode::kNotFound) {
-                    return st;
-                  }
-                  break;
-                }
-              }
-              ++out.live_replayed;
-              return Status::OK();
-            });
-        if (!report.ok()) {
-          out.status = report.status();
-          return;
-        }
-        if (!replay_error.ok()) {
-          out.status = replay_error;
-          return;
-        }
-        out.torn_bytes = report.value().torn_bytes;
-        out.last_seqno = report.value().last_seqno;
-      });
+  std::vector<PerStream> per_stream(n);
+  ForEachStream(n, [&](size_t s) {
+    PerStream& out = per_stream[s];
+    const uint64_t mark = result.stream_checkpoint_seqnos[s];
+    if (result.from_checkpoint) {
+      for (size_t shard : StreamShards(engine->num_shards(), s, n)) {
+        out.status = core::LoadEngineSnapshot(ShardDir(picked.dir, shard),
+                                              engine->mutable_shard(shard));
+        if (!out.status.ok()) return;
+      }
     }
-    for (std::thread& w : workers) w.join();
-  }
+    ScanOptions scan;
+    scan.truncate_torn_tail = true;
+    Status replay_error = Status::OK();
+    auto report = ScanLog(
+        StreamDir(wal_dir_, s, n), scan, [&](const Record& record) {
+          auto event = DecodeEventPayload(record.payload);
+          Status st = Status::IoError(event.status().message());
+          if (event.ok()) {
+            const feed::FeedEvent& ev = event.value();
+            if (ev.time > out.max_event_time) out.max_event_time = ev.time;
+            const bool covered = record.seqno <= mark;
+            st = ApplyLoggedEvent(
+                engine, s, n, ev,
+                covered ? ApplyMode::kWindowOnly : ApplyMode::kLive);
+            if (st.ok()) {
+              if (covered) {
+                ++out.window_replayed;
+              } else {
+                ++out.live_replayed;
+              }
+              return st;
+            }
+          }
+          replay_error = Status(
+              st.code(),
+              StringFormat("wal stream %zu record %llu: %s", s,
+                           static_cast<unsigned long long>(record.seqno),
+                           st.message().c_str()));
+          return replay_error;
+        });
+    if (!report.ok()) {
+      out.status = report.status();
+      return;
+    }
+    if (!replay_error.ok()) {
+      out.status = replay_error;
+      return;
+    }
+    out.torn_bytes = report.value().torn_bytes;
+    out.last_seqno = report.value().last_seqno;
+  });
   if (!picked.staging.empty()) {
+    // The materialised copy served its purpose; errors only cost disk.
     const Status st = RemoveAll(picked.staging);
     if (!st.ok()) ADREC_LOG(kWarning) << st.ToString();
   }
-  for (size_t s = 0; s < wal_shards; ++s) {
-    const PerShard& out = per_shard[s];
+  for (size_t s = 0; s < n; ++s) {
+    const PerStream& out = per_stream[s];
     ADREC_RETURN_NOT_OK(out.status);
     result.window_replayed += out.window_replayed;
     result.live_replayed += out.live_replayed;

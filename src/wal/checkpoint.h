@@ -11,7 +11,6 @@
 #include "core/sharded_engine.h"
 #include "obs/metrics.h"
 #include "wal/sharded_wal.h"
-#include "wal/wal.h"
 
 namespace adrec::wal {
 
@@ -32,9 +31,11 @@ namespace adrec::wal {
 /// every shard into `checkpoint.tmp`, and swapping the directory into
 /// place (old → checkpoint.old, tmp → checkpoint, fsync, delete old).
 /// Recovery prefers `checkpoint`, falls back to `checkpoint.old` when the
-/// former is absent or torn, and replays the WAL on top. With a
-/// per-shard log, every stream is sealed/snapshotted and later replayed
-/// concurrently — one thread per shard, disjoint engine state.
+/// former is absent or torn, and replays the WAL on top. The log is
+/// always a wal::ShardedWal: one stream (the flat classic layout) feeds
+/// every shard, while a per-shard log's streams are sealed/snapshotted
+/// and later replayed concurrently — one thread per shard, disjoint
+/// engine state.
 ///
 /// In CheckpointMode::kDelta the full-directory snapshot is replaced by
 /// an incremental delta-chain save under `<wal_dir>/checkpoint.delta`
@@ -78,7 +79,7 @@ struct RecoveryResult {
   bool from_checkpoint = false;
   /// WAL seqno the checkpoint covers (0 when none).
   uint64_t checkpoint_seqno = 0;
-  /// First seqno a new WalWriter should assign — pass to WalWriter::Open.
+  /// First seqno a new writer should assign (the per-stream maximum).
   uint64_t next_seqno = 1;
   /// Records ≤ checkpoint_seqno re-fed window-only (ReplayForAnalysis).
   size_t window_replayed = 0;
@@ -92,8 +93,8 @@ struct RecoveryResult {
   Timestamp max_event_time = 0;
   /// Per-stream view, one entry per WAL stream (a single-stream recovery
   /// fills one entry mirroring the scalar fields). `stream_next_seqnos`
-  /// feeds ShardedWal::Open; for a sharded log the scalar
-  /// `checkpoint_seqno`/`next_seqno` hold the per-stream maxima.
+  /// feeds ShardedWal::Open; the scalar `checkpoint_seqno`/`next_seqno`
+  /// hold the per-stream maxima.
   std::vector<uint64_t> stream_checkpoint_seqnos;
   std::vector<uint64_t> stream_next_seqnos;
   /// State was restored from a delta chain (from_checkpoint also true),
@@ -109,38 +110,32 @@ class CheckpointManager {
   explicit CheckpointManager(std::string wal_dir,
                              CheckpointOptions options = {});
 
-  /// Takes a checkpoint of `engine` paired with the WAL position: seals
-  /// and syncs the active segment, snapshots every shard, swaps the
+  /// Takes a checkpoint of `engine` paired with the log position: seals
+  /// and syncs every stream, snapshots every engine shard, swaps the
   /// checkpoint directory atomically, then truncates sealed segments per
-  /// CheckpointOptions. On failure the previous checkpoint is untouched
-  /// (or survives as checkpoint.old across the swap window).
-  Status Checkpoint(const core::ShardedEngine& engine, WalWriter* wal,
-                    Timestamp stream_now);
-
-  /// Per-shard-stream checkpoint: seals + syncs every stream and
-  /// snapshots every shard concurrently (one thread per shard), records
-  /// a per-stream high-water mark in the manifest, swaps atomically,
-  /// then truncates each stream. A 1-stream wal delegates to the
-  /// single-writer overload (byte-identical manifest).
+  /// CheckpointOptions. With N streams, one thread per stream seals it
+  /// and snapshots its shard, and the manifest records one "S" mark per
+  /// stream; one stream feeds every shard and writes no "S" line. On
+  /// failure the previous checkpoint is untouched (or survives as
+  /// checkpoint.old across the swap window).
   Status Checkpoint(const core::ShardedEngine& engine, ShardedWal* wal,
                     Timestamp stream_now);
 
   /// Restores `engine` from the newest valid checkpoint (if any) and
-  /// replays the WAL tail: records the checkpoint already covers are
-  /// re-fed window-only via ShardedEngine::ReplayForAnalysis (profiles /
-  /// counters / inventory stay snapshot-accurate, no double counting),
-  /// records past the checkpoint go through normal ingest. A torn final
-  /// record is truncated off. `engine` must be freshly constructed with
-  /// the shard count the checkpoint was taken with.
-  Result<RecoveryResult> Recover(core::ShardedEngine* engine) const;
-
-  /// Per-shard-stream recovery: loads every shard snapshot and replays
-  /// its stream concurrently — one thread per shard, each thread
-  /// touching only its own engine shard and log stream. `wal_shards`
-  /// must match the layout on disk and the engine shard count;
-  /// `wal_shards == 1` delegates to Recover().
+  /// replays the log tail of each of `wal_streams` streams: records the
+  /// checkpoint already covers are re-fed window-only via
+  /// ShardedEngine::ReplayForAnalysis (profiles / counters / inventory
+  /// stay snapshot-accurate, no double counting), records past it go
+  /// through normal ingest (wal/apply.h). A torn final record is
+  /// truncated off. One stream replays through the engine's routing; N
+  /// streams must equal the engine shard count and replay concurrently,
+  /// one thread per stream touching only its own shard. `engine` must be
+  /// freshly constructed with the shard count the checkpoint was taken
+  /// with. Fails FailedPrecondition when the log or checkpoint on disk
+  /// holds a different stream count (CheckStreamLayout), or a stream
+  /// holds another shard's event.
   Result<RecoveryResult> Recover(core::ShardedEngine* engine,
-                                 size_t wal_shards) const;
+                                 size_t wal_streams = 1) const;
 
   const std::string& wal_dir() const { return wal_dir_; }
   const CheckpointOptions& options() const { return options_; }
@@ -154,15 +149,11 @@ class CheckpointManager {
  private:
   std::string checkpoint_dir() const { return wal_dir_ + "/checkpoint"; }
 
-  /// The delta-mode save path shared by both Checkpoint overloads; the
-  /// caller has already sealed + synced every stream and taken marks.
+  /// The delta-mode save path; the caller has already sealed + synced
+  /// every stream and taken marks.
   Status DeltaSave(const core::ShardedEngine& engine, uint64_t wal_seqno,
                    const std::vector<uint64_t>& stream_seqnos,
                    Timestamp stream_now);
-  /// Classic full-directory save (serial shard snapshots + swap).
-  Status FullSave(const core::ShardedEngine& engine, uint64_t wal_seqno,
-                  const std::vector<uint64_t>& stream_seqnos,
-                  Timestamp stream_now);
   Status WriteFullManifest(const std::string& tmp, size_t num_shards,
                            uint64_t wal_seqno,
                            const std::vector<uint64_t>& stream_seqnos,

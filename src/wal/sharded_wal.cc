@@ -50,6 +50,33 @@ Result<size_t> DetectStreamLayout(const std::string& dir) {
   return numbered.size();
 }
 
+Status CheckStreamLayout(const std::string& dir, size_t streams) {
+  // Refuse to silently reinterpret an existing directory written with a
+  // different stream count — that would split one shard's history across
+  // incompatible seqno spaces, or replay nothing at all.
+  auto existing = DetectStreamLayout(dir);
+  if (!existing.ok()) return existing.status();
+  if (existing.value() > 1 && existing.value() != streams) {
+    return Status::FailedPrecondition(
+        StringFormat("%s holds %zu wal stream(s), not %zu", dir.c_str(),
+                     existing.value(), streams));
+  }
+  if (streams > 1 && existing.value() == 1) {
+    // DetectStreamLayout reports 1 both for "flat segments" and "no
+    // segments yet"; only the former is a layout clash.
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+      const std::string name = entry.path().filename().string();
+      if (entry.is_regular_file() && name.rfind("wal-", 0) == 0) {
+        return Status::FailedPrecondition(
+            StringFormat("%s holds a single-stream wal, not %zu streams",
+                         dir.c_str(), streams));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 ShardedWal::ShardedWal(std::string dir, WalOptions options,
                        std::vector<std::unique_ptr<WalWriter>> streams)
     : dir_(std::move(dir)),
@@ -67,31 +94,7 @@ Result<std::unique_ptr<ShardedWal>> ShardedWal::Open(
         "wal resume seqnos carry %zu stream(s), options say %zu",
         next_seqnos.size(), options.shards));
   }
-  // Refuse to silently reinterpret an existing directory written with a
-  // different stream count — that would split one shard's history across
-  // incompatible seqno spaces.
-  auto existing = DetectStreamLayout(dir);
-  if (!existing.ok()) return existing.status();
-  if (existing.value() > 1 && existing.value() != options.shards) {
-    return Status::FailedPrecondition(StringFormat(
-        "%s holds %zu wal stream(s); cannot open with %zu shards",
-        dir.c_str(), existing.value(), options.shards));
-  }
-  if (options.shards > 1 && existing.value() == 1) {
-    // DetectStreamLayout reports 1 both for "flat segments" and "no
-    // segments yet"; only the former is a layout clash.
-    std::error_code ec;
-    if (std::filesystem::exists(dir, ec) && !ec) {
-      for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (entry.is_regular_file() && name.rfind("wal-", 0) == 0) {
-          return Status::FailedPrecondition(StringFormat(
-              "%s holds a single-stream wal; cannot open with %zu shards",
-              dir.c_str(), options.shards));
-        }
-      }
-    }
-  }
+  ADREC_RETURN_NOT_OK(CheckStreamLayout(dir, options.shards));
 
   std::vector<std::unique_ptr<WalWriter>> streams;
   streams.reserve(options.shards);

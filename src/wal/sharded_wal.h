@@ -35,6 +35,13 @@ std::string StreamDir(const std::string& dir, size_t stream, size_t shards);
 /// 0..N-1 exist). Fails InvalidArgument on a mixed or gappy layout.
 Result<size_t> DetectStreamLayout(const std::string& dir);
 
+/// Checks that the log under `dir` reads as `streams` streams:
+/// FailedPrecondition when it holds numbered stream directories of
+/// another count, or flat segments while `streams > 1`. An empty or
+/// missing directory fits any count. ShardedWal::Open and
+/// CheckpointManager::Recover both run it.
+Status CheckStreamLayout(const std::string& dir, size_t streams);
+
 /// N WalWriters fronted as one log. Thread-compatible the same way the
 /// underlying writers are: each WalWriter is internally thread-safe, and
 /// distinct streams never share state, so distinct worker threads may

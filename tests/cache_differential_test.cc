@@ -46,7 +46,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "wal/checkpoint.h"
-#include "wal/wal.h"
+#include "wal/sharded_wal.h"
 
 namespace adrec::serve {
 namespace {
@@ -55,7 +55,7 @@ struct Daemon {
   feed::Workload workload;
   std::string wal_dir;
   std::unique_ptr<wal::CheckpointManager> checkpointer;
-  std::unique_ptr<wal::WalWriter> wal;
+  std::unique_ptr<wal::ShardedWal> wal;
   std::unique_ptr<core::ShardedEngine> engine;
   std::unique_ptr<replica::Follower> follower;
   std::unique_ptr<Server> server;
@@ -105,10 +105,10 @@ class CacheDifferentialTest : public ::testing::Test {
 
     wal::WalOptions wal_options;
     wal_options.sync = wal::SyncPolicy::kNone;
-    auto writer = wal::WalWriter::Open(d->wal_dir, wal_options,
-                                       recovered.value().next_seqno);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    d->wal = std::move(writer).value();
+    auto opened = wal::ShardedWal::Open(d->wal_dir, wal_options,
+                                        recovered.value().stream_next_seqnos);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    d->wal = std::move(opened).value();
 
     ServerOptions options;
     options.wal = d->wal.get();
@@ -120,8 +120,8 @@ class CacheDifferentialTest : public ::testing::Test {
       fopts.port = leader_port;
       fopts.backoff_initial = 0.05;
       d->follower = std::make_unique<replica::Follower>(
-          d->engine.get(), d->wal.get(), fopts);
-      options.follower = d->follower.get();
+          d->engine.get(), d->wal.get(), 0, fopts);
+      options.followers = {d->follower.get()};
     }
     d->server = std::make_unique<Server>(d->engine.get(), options);
     if (recovered.value().max_event_time > 0) {

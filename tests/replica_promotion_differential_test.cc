@@ -41,7 +41,7 @@ feed::Workload SmallWorkload(uint64_t seed) {
 /// to a reference engine fed the replicated prefix of acknowledged
 /// records, and must stay identical through post-failover writes. At
 /// wal_shards > 1 the leader logs per-shard streams and the follower
-/// runs one replication cursor per stream (`repl <shard> <cursor>`),
+/// runs one replication cursor per stream (`repl <s> <streams> <cursor>`),
 /// promotion sealing every stream; every shard's snapshot is compared.
 void TwentySeededLeaderKills(size_t wal_shards) {
   size_t iterations = 0;

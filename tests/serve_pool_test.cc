@@ -7,8 +7,11 @@
 
 #include "serve/pool/pool_server.h"
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "common/string_util.h"
 #include "core/sharded_engine.h"
 #include "feed/workload.h"
 #include "obs/trace.h"
@@ -73,7 +77,7 @@ class ServePoolTest : public ::testing::Test {
       auto opened = wal::ShardedWal::Open(base_dir_ + "/wal", wal_options);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
       wal_ = std::move(opened).value();
-      base.sharded_wal = wal_.get();
+      base.wal = wal_.get();
       checkpointer_ =
           std::make_unique<wal::CheckpointManager>(base_dir_ + "/wal");
       base.checkpointer = checkpointer_.get();
@@ -341,9 +345,9 @@ TEST_F(ServePoolTest, ShardedWalCheckpointAndParallelRecovery) {
   EXPECT_GE(tweets_on_disk, 0u);  // replay completed without error
 }
 
-/// The `repl` handshake in a sharded-log pool: the legacy one-field
-/// form is refused with guidance, the `repl <shard> <cursor>` form
-/// attaches a per-stream cursor, and out-of-range shards are rejected.
+/// The `repl` handshake in a sharded-log pool: a follower with another
+/// stream count is refused, `repl <stream> <streams> <cursor>` attaches
+/// a per-stream cursor, and out-of-range streams are rejected.
 TEST_F(ServePoolTest, ReplHandshakeSpeaksPerStreamCursors) {
   StartPool(/*shards=*/2, /*workers=*/2, /*wal_shards=*/2);
   Client seed = Connected();
@@ -355,16 +359,103 @@ TEST_F(ServePoolTest, ReplHandshakeSpeaksPerStreamCursors) {
 
   // Raw sockets, first reply line only: a successful handshake turns
   // the connection into a one-way frame stream no Client can frame.
-  EXPECT_NE(RawFirstLine(pool_->port(), "repl\t0")
-                .find("CLIENT_ERROR sharded log"),
+  EXPECT_NE(RawFirstLine(pool_->port(), "repl\t0\t1\t0")
+                .find("CLIENT_ERROR repl: follower has 1 wal stream(s)"),
             std::string::npos);
-  EXPECT_NE(RawFirstLine(pool_->port(), "repl\t7\t0").find("out of range"),
+  EXPECT_NE(RawFirstLine(pool_->port(), "repl\t7\t2\t0").find("out of range"),
             std::string::npos);
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ(RawFirstLine(pool_->port(),
-                           "repl\t" + std::to_string(s) + "\t0"),
+                           "repl\t" + std::to_string(s) + "\t2\t0"),
               "REPL OK " + std::to_string(s) + " 0");
   }
+}
+
+/// The exposition is the same shape whatever --workers is: after one
+/// ingest + checkpoint script, a two-worker pool's `stats` carries
+/// exactly the metric names of a one-worker Server over the same log
+/// layout — the checkpointer's checkpoint.* families included.
+TEST_F(ServePoolTest, StatsNamesMatchOneWorkerServer) {
+  const std::vector<std::string> script = {
+      "adput\t9\t100\t50\t1.5\t\t\tcoffee and music deals",
+      "tweet\t3\t700\tcoffee and live music downtown",
+      "tweet\t4\t701\trooftop jazz tonight",
+      "checkin\t3\t702\t1",
+      "topk\t4\t3",
+      "checkpoint",
+  };
+  const auto stat_names = [&](uint16_t port) {
+    Client client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", port).ok());
+    for (const std::string& line : script) {
+      auto reply = client.Command(line);
+      EXPECT_TRUE(reply.ok() && !StartsWith(reply.value(), "SERVER_ERROR"))
+          << line << ": " << (reply.ok() ? reply.value() : "<err>");
+    }
+    auto stats = client.Command("stats");
+    EXPECT_TRUE(stats.ok());
+    std::set<std::string> names;
+    std::istringstream in(stats.ok() ? stats.value() : "");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("STAT ", 0) != 0) continue;
+      names.insert(line.substr(5, line.find(' ', 5) - 5));
+    }
+    return names;
+  };
+
+  // One worker: a classic Server over its own two-stream log.
+  std::set<std::string> want;
+  {
+    core::ShardedEngine engine(workload_.kb, workload_.slots, 2);
+    wal::WalOptions wal_options;
+    wal_options.sync = wal::SyncPolicy::kNone;
+    wal_options.shards = 2;
+    auto opened = wal::ShardedWal::Open(base_dir_ + "/solo", wal_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    wal::CheckpointManager checkpointer(base_dir_ + "/solo");
+    ServerOptions options;
+    options.wal = opened.value().get();
+    options.checkpointer = &checkpointer;
+    Server solo(&engine, options);
+    ASSERT_TRUE(solo.Start().ok());
+    std::thread solo_thread([&solo] { solo.Run(); });
+    want = stat_names(solo.port());
+    solo.RequestDrain();
+    solo_thread.join();
+  }
+  ASSERT_EQ(want.count("checkpoint.saves"), 1u);
+
+  StartPool(/*shards=*/2, /*workers=*/2, /*wal_shards=*/2);
+  const std::set<std::string> got = stat_names(pool_->port());
+  EXPECT_EQ(want, got);
+}
+
+/// --report-interval works in a pool: lane 0's reporter logs `window`
+/// lines from inside a barrier, where the pool-wide scrape is quiescent.
+TEST_F(ServePoolTest, ReporterLogsWindowsInAPool) {
+  engine_ = std::make_unique<core::ShardedEngine>(workload_.kb,
+                                                  workload_.slots, 2);
+  ServerOptions base;
+  base.report_interval = 0.05;
+  ::testing::internal::CaptureStderr();
+  pool_ = std::make_unique<PoolServer>(engine_.get(), base, 2);
+  ASSERT_TRUE(pool_->Start().ok());
+  thread_ = std::thread([this] { pool_->Run(); });
+  {
+    Client client = Connected();
+    for (uint32_t i = 0; i < 20; ++i) {
+      feed::Tweet t;
+      t.user = UserId(i);
+      t.time = static_cast<Timestamp>(800 + i);
+      t.text = "street food market";
+      ASSERT_TRUE(client.SendTweet(t).ok()) << i;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  StopPool();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("window "), std::string::npos) << err;
 }
 
 }  // namespace

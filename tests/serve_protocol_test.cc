@@ -119,6 +119,20 @@ TEST(ServeProtocolTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseRequest("quit\textra").ok());
 }
 
+TEST(ServeProtocolTest, ReplHandshakeHasOneForm) {
+  auto req = ParseRequest(FormatReplCmd(1, 2, 42));
+  ASSERT_TRUE(req.ok()) << req.status().ToString();
+  EXPECT_EQ(req.value().verb, Verb::kRepl);
+  EXPECT_EQ(req.value().repl_stream, 1u);
+  EXPECT_EQ(req.value().repl_streams, 2u);
+  EXPECT_EQ(req.value().cursor, 42u);
+  EXPECT_FALSE(ParseRequest("repl").ok());
+  EXPECT_FALSE(ParseRequest("repl\t42").ok());        // cursor only
+  EXPECT_FALSE(ParseRequest("repl\t0\t42").ok());     // stream + cursor
+  EXPECT_FALSE(ParseRequest("repl\t0\t1\t2\t3").ok());
+  EXPECT_FALSE(ParseRequest("repl\t0\t-1\t0").ok());
+}
+
 TEST(ServeProtocolTest, VerbNamesMatchWireTokens) {
   for (size_t v = 0; v < kNumVerbs; ++v) {
     const Verb verb = static_cast<Verb>(v);
@@ -130,7 +144,7 @@ TEST(ServeProtocolTest, VerbNamesMatchWireTokens) {
     if (verb == Verb::kAdDel || verb == Verb::kMatch) line += "\t1";
     if (verb == Verb::kTopK) line += "\t1\t3";
     if (verb == Verb::kSnapshot) line += "\t/tmp/x";
-    if (verb == Verb::kRepl) line += "\t0";
+    if (verb == Verb::kRepl) line += "\t0\t1\t0";
     auto req = ParseRequest(line);
     ASSERT_TRUE(req.ok()) << line << ": " << req.status().ToString();
     EXPECT_EQ(req.value().verb, verb);

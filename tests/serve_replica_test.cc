@@ -3,12 +3,14 @@
 // runs inside the follower's event loop. Covers catch-up + live tail
 // convergence, the READONLY gate across the whole verb table, the
 // promote flow, the replica.* lag gauges in the Prometheus exposition,
-// and the client's automatic reconnect across a daemon restart.
+// the refusal of a follower whose log has another stream count, and the
+// client's automatic reconnect across a daemon restart.
 
 #include "serve/server.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,7 +28,8 @@
 #include "replica/follower.h"
 #include "serve/client.h"
 #include "wal/checkpoint.h"
-#include "wal/wal.h"
+#include "wal/record.h"
+#include "wal/sharded_wal.h"
 
 namespace adrec::serve {
 namespace {
@@ -41,9 +45,9 @@ struct Daemon {
   feed::Workload workload;
   std::string wal_dir;
   std::unique_ptr<wal::CheckpointManager> checkpointer;
-  std::unique_ptr<wal::WalWriter> wal;
+  std::unique_ptr<wal::ShardedWal> wal;
   std::unique_ptr<core::ShardedEngine> engine;
-  std::unique_ptr<replica::Follower> follower;
+  std::vector<std::unique_ptr<replica::Follower>> followers;
   std::unique_ptr<Server> server;
   std::thread thread;
 
@@ -53,7 +57,7 @@ struct Daemon {
       if (thread.joinable()) thread.join();
       server.reset();
     }
-    follower.reset();
+    followers.clear();
     wal.reset();
   }
   ~Daemon() { Stop(); }
@@ -79,24 +83,27 @@ class ServeReplicaTest : public ::testing::Test {
   }
   ~ServeReplicaTest() override { std::filesystem::remove_all(base_dir_); }
 
-  /// Starts a daemon: recovery, WAL writer, optionally a follower of
-  /// `leader_port`, then the server loop on a background thread.
+  /// Starts a daemon: recovery, WAL, optionally one follower of
+  /// `leader_port` per log stream, then the server loop on a background
+  /// thread. `streams` is both the engine shard and WAL stream count.
   void StartDaemon(Daemon* d, const std::string& tag,
-                   uint16_t leader_port = 0, uint16_t fixed_port = 0) {
+                   uint16_t leader_port = 0, uint16_t fixed_port = 0,
+                   size_t streams = 1) {
     d->workload = feed::GenerateWorkload(opts_);
     d->wal_dir = base_dir_ + "/" + tag;
     d->checkpointer = std::make_unique<wal::CheckpointManager>(d->wal_dir);
-    d->engine = std::make_unique<core::ShardedEngine>(d->workload.kb,
-                                                      d->workload.slots, 1);
-    auto recovered = d->checkpointer->Recover(d->engine.get());
+    d->engine = std::make_unique<core::ShardedEngine>(
+        d->workload.kb, d->workload.slots, streams);
+    auto recovered = d->checkpointer->Recover(d->engine.get(), streams);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 
     wal::WalOptions wal_options;
     wal_options.sync = wal::SyncPolicy::kNone;
-    auto writer = wal::WalWriter::Open(d->wal_dir, wal_options,
-                                       recovered.value().next_seqno);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    d->wal = std::move(writer).value();
+    wal_options.shards = streams;
+    auto opened = wal::ShardedWal::Open(d->wal_dir, wal_options,
+                                        recovered.value().stream_next_seqnos);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    d->wal = std::move(opened).value();
 
     ServerOptions options;
     options.port = fixed_port;
@@ -108,9 +115,11 @@ class ServeReplicaTest : public ::testing::Test {
       fopts.host = "127.0.0.1";
       fopts.port = leader_port;
       fopts.backoff_initial = 0.05;
-      d->follower = std::make_unique<replica::Follower>(
-          d->engine.get(), d->wal.get(), fopts);
-      options.follower = d->follower.get();
+      for (size_t s = 0; s < streams; ++s) {
+        d->followers.push_back(std::make_unique<replica::Follower>(
+            d->engine.get(), d->wal.get(), s, fopts));
+        options.followers.push_back(d->followers.back().get());
+      }
     }
     d->server = std::make_unique<Server>(d->engine.get(), options);
     if (recovered.value().max_event_time > 0) {
@@ -296,7 +305,7 @@ TEST_F(ServeReplicaTest, ReadOnlyGateCoversEveryVerbInTheTable) {
     if (verb == Verb::kAdDel || verb == Verb::kMatch) line += "\t1";
     if (verb == Verb::kTopK) line += "\t1\t3";
     if (verb == Verb::kSnapshot) line += "\t/tmp/x";
-    if (verb == Verb::kRepl) line += "\t0";
+    if (verb == Verb::kRepl) line += "\t0\t1\t0";
     if (verb == Verb::kQuit) continue;  // closes without a reply
 
     const std::string reply = RawFirstLine(follower.server->port(), line);
@@ -361,6 +370,150 @@ TEST_F(ServeReplicaTest, PromoteDetachesSealsAndAcceptsWrites) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report.value().records, acked + 1);
   EXPECT_FALSE(report.value().torn_tail);
+}
+
+/// A follower whose log has another stream count than the leader's is
+/// refused at the handshake (CLIENT_ERROR) instead of streaming: a
+/// two-stream follower must not apply the one-stream leader's records
+/// (stream 0 carries every shard's users) and abort. It reports itself
+/// disconnected and its own log stays empty.
+TEST_F(ServeReplicaTest, StreamCountMismatchIsRefusedAtTheHandshake) {
+  Daemon leader;
+  StartDaemon(&leader, "leader");
+  {
+    Client client = Connected(leader);
+    ASSERT_TRUE(client.PutAd(workload_.ads[0]).ok());
+    for (size_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(client.SendTweet(workload_.tweets[i]).ok());
+    }
+  }
+  EXPECT_NE(RawFirstLine(leader.server->port(), "repl\t0\t2\t0")
+                .find("CLIENT_ERROR"),
+            std::string::npos);
+
+  Daemon follower;
+  StartDaemon(&follower, "follower", leader.server->port(), 0,
+              /*streams=*/2);
+  Client fclient = Connected(follower);
+  // Wait out several refused handshakes on both streams.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    auto metrics = fclient.Metrics();
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    double r0 = 0.0;
+    double r1 = 0.0;
+    if (MetricValue(metrics.value(), "adrec_replica_s0_reconnects_total",
+                    &r0) &&
+        MetricValue(metrics.value(), "adrec_replica_s1_reconnects_total",
+                    &r1) &&
+        r0 >= 2.0 && r1 >= 2.0) {
+      for (const char* name :
+           {"adrec_replica_s0_connected", "adrec_replica_s1_connected",
+            "adrec_replica_s0_applied_seqno",
+            "adrec_replica_s1_applied_seqno"}) {
+        double value = -1.0;
+        ASSERT_TRUE(MetricValue(metrics.value(), name, &value)) << name;
+        EXPECT_EQ(value, 0.0) << name;
+      }
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "follower never retried the refused handshake";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  follower.Stop();
+  for (size_t s = 0; s < 2; ++s) {
+    auto report = wal::VerifyLog(wal::StreamDir(follower.wal_dir, s, 2));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().records, 0u) << "stream " << s;
+  }
+}
+
+/// A per-shard follower refuses a frame whose user another shard owns
+/// before it reaches the local log (recovery would trip over it on every
+/// restart). A fake leader acknowledges the handshake of stream 0 of a
+/// two-stream log and ships one tweet of a shard-1 user.
+TEST_F(ServeReplicaTest, ForeignFrameIsRefusedBeforeTheLocalLog) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &len),
+            0);
+
+  core::ShardedEngine engine(workload_.kb, workload_.slots, 2);
+  feed::FeedEvent foreign;
+  foreign.kind = feed::EventKind::kTweet;
+  foreign.tweet = workload_.tweets.front();
+  for (uint32_t u = 0; engine.ShardOf(foreign.tweet.user) != 1; ++u) {
+    foreign.tweet.user = UserId(u);
+  }
+  std::string handshake;
+  std::thread leader([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    char buf[256];
+    while (handshake.find('\n') == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      handshake.append(buf, static_cast<size_t>(n));
+    }
+    const std::string reply =
+        "REPL OK 0 0\r\n" +
+        wal::EncodeFrame(1, wal::EncodeEventPayload(foreign));
+    (void)!::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    // Hold the stream open until the follower hangs up.
+    while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+    }
+    ::close(fd);
+  });
+
+  const std::string dir = base_dir_ + "/follower";
+  wal::WalOptions wal_options;
+  wal_options.shards = 2;
+  auto opened = wal::ShardedWal::Open(dir, wal_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  replica::FollowerOptions fopts;
+  fopts.port = ntohs(addr.sin_port);
+  fopts.backoff_initial = 60.0;  // one attempt is the whole test
+  replica::Follower follower(&engine, opened.value().get(), 0, fopts);
+  const auto reconnects = [&] {
+    return follower.metrics().Snapshot().counters.at(
+        "replica.s0.reconnects");
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reconnects() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    follower.Tick();
+    if (follower.fd() < 0) continue;
+    pollfd pfd{follower.fd(),
+               static_cast<short>(POLLIN |
+                                  (follower.want_write() ? POLLOUT : 0)),
+               0};
+    if (::poll(&pfd, 1, 100) > 0) follower.OnPollEvents(pfd.revents);
+  }
+  follower.Detach();
+  leader.join();
+  ::close(listen_fd);
+
+  EXPECT_EQ(handshake, "repl\t0\t2\t0\n");
+  EXPECT_EQ(follower.applied_seqno(), 0u);
+  EXPECT_EQ(engine.Stats().tweets, 0u);
+  opened.value().reset();
+  for (size_t s = 0; s < 2; ++s) {
+    auto report = wal::VerifyLog(wal::StreamDir(dir, s, 2));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().records, 0u) << "stream " << s;
+  }
 }
 
 /// The reconnect satellite: a client with SetReconnect rides through a

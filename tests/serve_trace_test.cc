@@ -26,7 +26,7 @@
 #include "replica/follower.h"
 #include "serve/client.h"
 #include "wal/checkpoint.h"
-#include "wal/wal.h"
+#include "wal/sharded_wal.h"
 
 namespace adrec::serve {
 namespace {
@@ -117,9 +117,9 @@ class ServeTraceTest : public ::testing::Test {
                                                     workload_.slots, 1);
     wal::WalOptions wal_options;
     wal_options.sync = wal::SyncPolicy::kNone;
-    auto writer = wal::WalWriter::Open(base_dir_ + "/wal", wal_options);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    wal_ = std::move(writer).value();
+    auto opened = wal::ShardedWal::Open(base_dir_ + "/wal", wal_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    wal_ = std::move(opened).value();
 
     options.wal = wal_.get();
     options.tracer = tracer;
@@ -185,7 +185,7 @@ class ServeTraceTest : public ::testing::Test {
   feed::WorkloadOptions opts_;
   feed::Workload workload_;
   std::unique_ptr<core::ShardedEngine> engine_;
-  std::unique_ptr<wal::WalWriter> wal_;
+  std::unique_ptr<wal::ShardedWal> wal_;
   std::vector<std::unique_ptr<obs::TraceCollector>> collectors_;
   std::unique_ptr<Server> server_;
   std::thread thread_;
@@ -459,9 +459,9 @@ TEST_F(ServeTraceTest, ReplicaAppliedFramesAreTraced) {
       follower_workload.kb, follower_workload.slots, 1);
   wal::WalOptions wal_options;
   wal_options.sync = wal::SyncPolicy::kNone;
-  auto writer = wal::WalWriter::Open(base_dir_ + "/wal_follower", wal_options);
-  ASSERT_TRUE(writer.ok());
-  std::unique_ptr<wal::WalWriter> follower_wal = std::move(writer).value();
+  auto opened = wal::ShardedWal::Open(base_dir_ + "/wal_follower", wal_options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<wal::ShardedWal> follower_wal = std::move(opened).value();
 
   auto& follower_collector = NewCollector();
   replica::FollowerOptions fopts;
@@ -470,11 +470,11 @@ TEST_F(ServeTraceTest, ReplicaAppliedFramesAreTraced) {
   fopts.backoff_initial = 0.05;
   fopts.tracer = &follower_collector;
   auto follower = std::make_unique<replica::Follower>(
-      follower_engine.get(), follower_wal.get(), fopts);
+      follower_engine.get(), follower_wal.get(), 0, fopts);
 
   ServerOptions foptions;
   foptions.wal = follower_wal.get();
-  foptions.follower = follower.get();
+  foptions.followers = {follower.get()};
   auto follower_server =
       std::make_unique<Server>(follower_engine.get(), foptions);
   ASSERT_TRUE(follower_server->Start().ok());

@@ -1,5 +1,5 @@
 // The serving daemon's durability wiring, in process: a Server with a
-// WalWriter + CheckpointManager attached must log every ingest verb
+// one-stream ShardedWal + CheckpointManager attached must log every ingest verb
 // before applying it, survive a restart via Recover, and expose the
 // `checkpoint` admin verb and wal.* metrics over the wire.
 
@@ -16,7 +16,7 @@
 #include "feed/workload.h"
 #include "serve/client.h"
 #include "wal/checkpoint.h"
-#include "wal/wal.h"
+#include "wal/sharded_wal.h"
 
 namespace adrec::serve {
 namespace {
@@ -56,10 +56,10 @@ class ServeWalTest : public ::testing::Test {
 
     wal::WalOptions wal_options;
     wal_options.sync = wal::SyncPolicy::kNone;  // tests need speed, not D
-    auto writer =
-        wal::WalWriter::Open(wal_dir_, wal_options, recovery_.next_seqno);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    wal_ = std::move(writer).value();
+    auto opened = wal::ShardedWal::Open(wal_dir_, wal_options,
+                                        recovery_.stream_next_seqnos);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    wal_ = std::move(opened).value();
 
     ServerOptions options;
     options.wal = wal_.get();
@@ -90,7 +90,7 @@ class ServeWalTest : public ::testing::Test {
   std::string wal_dir_;
   feed::Workload workload_;
   std::unique_ptr<wal::CheckpointManager> checkpointer_;
-  std::unique_ptr<wal::WalWriter> wal_;
+  std::unique_ptr<wal::ShardedWal> wal_;
   std::unique_ptr<core::ShardedEngine> engine_;
   std::unique_ptr<Server> server_;
   std::thread thread_;

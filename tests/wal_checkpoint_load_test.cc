@@ -15,6 +15,7 @@
 #include "feed/workload.h"
 #include "wal/delta/delta_checkpoint.h"
 #include "wal/record.h"
+#include "wal/sharded_wal.h"
 #include "wal/wal.h"
 
 namespace adrec::wal {
@@ -55,9 +56,9 @@ class WalCheckpointLoadTest : public ::testing::Test {
     CheckpointOptions copts;
     copts.mode = mode;
     CheckpointManager manager(dir, copts);
-    auto writer = WalWriter::Open(dir);
-    ADREC_CHECK(writer.ok());
-    WalWriter* w = writer.value().get();
+    auto log = ShardedWal::Open(dir);
+    ADREC_CHECK(log.ok());
+    WalWriter* w = log.value()->stream(0);
     auto engine = NewEngine();
     const size_t mark = events_.size() / 2;
     const size_t crash = events_.size() * 3 / 4;
@@ -72,7 +73,9 @@ class WalCheckpointLoadTest : public ::testing::Test {
       ADREC_CHECK(w->Append(EncodeEventPayload(events_[i])).ok());
       engine->OnEvent(events_[i]);
       if (i == mark) {
-        ADREC_CHECK(manager.Checkpoint(*engine, w, events_[i].time).ok());
+        ADREC_CHECK(
+            manager.Checkpoint(*engine, log.value().get(), events_[i].time)
+                .ok());
       }
     }
     return engine;

@@ -13,6 +13,7 @@
 #include "feed/workload.h"
 #include "wal/checkpoint.h"
 #include "wal/record.h"
+#include "wal/sharded_wal.h"
 #include "wal/wal.h"
 
 namespace adrec::wal::delta {
@@ -319,9 +320,9 @@ TEST_F(WalDeltaCheckpointTest, ManagerDeltaModeRecoversLikeFullMode) {
     copts.mode = mode == 0 ? CheckpointMode::kFull : CheckpointMode::kDelta;
     copts.rebase_every = 4;
     CheckpointManager manager(d, copts);
-    auto writer = WalWriter::Open(d);
-    ASSERT_TRUE(writer.ok());
-    WalWriter* w = writer.value().get();
+    auto log = ShardedWal::Open(d);
+    ASSERT_TRUE(log.ok());
+    WalWriter* w = log.value()->stream(0);
     auto engine = NewEngine(1);
     for (const feed::Ad& ad : workload_.ads) {
       feed::FeedEvent ev;
@@ -334,7 +335,9 @@ TEST_F(WalDeltaCheckpointTest, ManagerDeltaModeRecoversLikeFullMode) {
       ASSERT_TRUE(w->Append(EncodeEventPayload(events_[i])).ok());
       engine->OnEvent(events_[i]);
       if (i == mark / 2 || i == mark) {
-        ASSERT_TRUE(manager.Checkpoint(*engine, w, events_[i].time).ok());
+        ASSERT_TRUE(
+            manager.Checkpoint(*engine, log.value().get(), events_[i].time)
+                .ok());
       }
     }
   }  // crash both
@@ -363,11 +366,11 @@ TEST_F(WalDeltaCheckpointTest, ManagerDeltaModeRecoversLikeFullMode) {
   // Save-side metric families are populated on the delta manager that
   // streamed (re-create one to checkpoint once and check).
   CheckpointManager fresh(delta_dir, delta_opts);
-  auto probe_writer = WalWriter::Open(delta_dir, {},
-                                      delta_rec.value().next_seqno);
-  ASSERT_TRUE(probe_writer.ok());
+  auto probe_log = ShardedWal::Open(delta_dir, {},
+                                    delta_rec.value().stream_next_seqnos);
+  ASSERT_TRUE(probe_log.ok());
   ASSERT_TRUE(
-      fresh.Checkpoint(*delta_engine, probe_writer.value().get(), 0).ok());
+      fresh.Checkpoint(*delta_engine, probe_log.value().get(), 0).ok());
   const obs::MetricsSnapshot snap = fresh.metrics().Snapshot();
   EXPECT_EQ(snap.counters.at("checkpoint.saves"), 1u);
   EXPECT_TRUE(snap.gauges.count("checkpoint.delta_chain_len"));
