@@ -9,9 +9,10 @@
 # gate covers the daemon binary itself, not just the serve library.
 #
 # Phase 2 reboots the daemon multi-core (--workers=2 --wal-shards=2,
-# DESIGN.md §16): worker-tagged conns output, the checkpointer in the
-# pool's stats, the pool's window reporter, per-shard WAL stream
-# directories on disk, and a restart that replays both streams.
+# DESIGN.md §16): live ads counted once across shards, worker-tagged
+# conns output, the checkpointer in the pool's stats, the pool's window
+# reporter, per-shard WAL stream directories on disk, and a restart that
+# replays both streams.
 #
 # Phase 3 checks that malformed or out-of-range numeric flags exit 2.
 set -euo pipefail
@@ -118,7 +119,10 @@ expect "PONG" ping
 expect "OK" tweet 3 86400 "coffee and live music downtown"
 expect "OK" tweet 4 86401 "rooftop jazz tonight"
 expect "OK" adput 9 100 50 1.5 "" "" "coffee and music deals"
+# Both shards index the ad; the gauge counts live ads, once.
+expect "STAT index.ads 1" stats
 expect "ADS" topk 4 3
+expect "STAT index.records_probed " stats
 expect "STAT engine.tweets 2" stats
 expect "worker=" conns
 drain

@@ -45,6 +45,7 @@ RecommendationEngine::RecommendationEngine(
       ctr_impressions_(metrics_.GetCounter("engine.impressions_served")),
       ctr_analyses_(metrics_.GetCounter("engine.analyses_run")),
       ctr_postings_scanned_(metrics_.GetCounter("index.postings_scanned")),
+      ctr_records_probed_(metrics_.GetCounter("index.records_probed")),
       ctr_candidates_(metrics_.GetCounter("index.candidates")),
       g_location_triconcepts_(
           metrics_.GetGauge("tfca.location_triconcepts")),
@@ -292,6 +293,7 @@ std::vector<index::ScoredAd> RecommendationEngine::TopKAdsForTweet(
   index::AdQuery query = BuildQuery(tweet, k * 2 + 4);
   std::vector<index::ScoredAd> ranked = index_.TopK(query);
   ctr_postings_scanned_->Inc(index_.last_postings_scanned());
+  ctr_records_probed_->Inc(index_.last_records_probed());
   ctr_candidates_->Inc(index_.last_candidates());
   const bool cap_enabled = options_.frequency_cap.max_impressions > 0;
   std::vector<index::ScoredAd> out;

@@ -271,6 +271,7 @@ class RecommendationEngine {
   obs::Counter* ctr_impressions_;
   obs::Counter* ctr_analyses_;
   obs::Counter* ctr_postings_scanned_;
+  obs::Counter* ctr_records_probed_;
   obs::Counter* ctr_candidates_;
   obs::Gauge* g_location_triconcepts_;
   obs::Gauge* g_topic_triconcepts_;

@@ -215,8 +215,12 @@ EngineStats ShardedEngine::Stats() const {
 
 obs::MetricsSnapshot ShardedEngine::MergedMetrics() const {
   obs::MetricsSnapshot merged;
-  for (const auto& shard : shards_) {
-    merged.MergeFrom(shard->metrics().Snapshot());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    obs::MetricsSnapshot shard = shards_[s]->metrics().Snapshot();
+    // Every shard indexes the whole inventory, so the live ads count once;
+    // index.postings_bytes stays a sum, it is memory.
+    if (s > 0) shard.gauges.erase("index.ads");
+    merged.MergeFrom(shard);
   }
   return merged;
 }

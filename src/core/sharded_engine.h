@@ -106,7 +106,8 @@ class ShardedEngine {
   EngineStats Stats() const;
 
   /// Aggregate metric registry snapshot across shards (same merge rules),
-  /// for the generic obs exporters.
+  /// for the generic obs exporters. The one exception is the index.ads
+  /// gauge: every shard indexes every ad, so it is shard 0's, the live ads.
   obs::MetricsSnapshot MergedMetrics() const;
 
   /// The shard owning a user.

@@ -19,6 +19,37 @@ std::vector<uint32_t> SortedValues(const std::vector<Id>& ids) {
   return out;
 }
 
+constexpr uint64_t kLocationHalf = 0x00000000FFFFFFFFull;
+constexpr uint64_t kSlotHalf = 0xFFFFFFFF00000000ull;
+
+uint64_t LocationBit(uint32_t location) {
+  return uint64_t{1} << (location % AdIndex::kSignatureBuckets);
+}
+
+uint64_t SlotBit(uint32_t slot) {
+  return uint64_t{1} << (32 + slot % AdIndex::kSignatureBuckets);
+}
+
+// The ad's targeting signature (see AdIndex): a superset of its targeting,
+// so it never rules out an ad PassesFilters would admit.
+uint64_t TargetingSignature(const std::vector<uint32_t>& locations,
+                            const std::vector<uint32_t>& time_slots) {
+  uint64_t signature = 0;
+  if (locations.empty()) signature |= kLocationHalf;
+  for (uint32_t location : locations) signature |= LocationBit(location);
+  if (time_slots.empty()) signature |= kSlotHalf;
+  for (uint32_t slot : time_slots) signature |= SlotBit(slot);
+  return signature;
+}
+
+// The signature bits a posting must carry to be worth a record read.
+uint64_t QueryBits(const AdQuery& query) {
+  uint64_t bits = 0;
+  if (query.location.valid()) bits |= LocationBit(query.location.value);
+  if (query.slot.valid()) bits |= SlotBit(query.slot.value);
+  return bits;
+}
+
 }  // namespace
 
 size_t AdIndex::RecordBytes(const AdRecord& rec) {
@@ -51,12 +82,13 @@ Status AdIndex::Insert(AdId id, const text::SparseVector& topics,
   rec.topics = topics;
   rec.locations = SortedValues(target_locations);
   rec.time_slots = SortedValues(target_slots);
+  const uint64_t signature = TargetingSignature(rec.locations, rec.time_slots);
   for (const text::SparseEntry& e : topics.entries()) {
     if (e.weight <= 0.0) continue;
     PostingList& list = lists_[e.id];
     // Insert keeping impact (descending-weight) order, ahead of equal
     // weights.
-    const Posting p{slot, rec.generation, e.weight};
+    const Posting p{slot, rec.generation, e.weight, signature};
     auto it = std::lower_bound(list.postings.begin(), list.postings.end(),
                                p, [](const Posting& a, const Posting& b) {
                                  return a.weight > b.weight;
@@ -133,6 +165,7 @@ std::vector<ScoredAd> AdIndex::TopK(const AdQuery& query) const {
   // The unseen-ad upper bound is sum_i(query_weight_i * current depth
   // weight_i) * max_bid; once the k-th score reaches it, stop.
   last_postings_scanned_ = 0;
+  last_records_probed_ = 0;
   last_candidates_ = 0;
   if (query.k == 0 || query.topics.empty() || slot_of_.empty()) return {};
 
@@ -155,32 +188,45 @@ std::vector<ScoredAd> AdIndex::TopK(const AdQuery& query) const {
   }
   if (cursors.empty()) return {};
 
+  const uint64_t query_bits = QueryBits(query);
   if (++epoch_ == 0) {  // wrapped: clear marks left by older epochs
     std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
+  // Counted in locals: a counter member would be stored on every posting,
+  // since the compiler cannot rule out that it aliases a posting field.
+  size_t scanned = 0;
+  size_t probed = 0;
+  size_t candidates = 0;
   TopKHeap heap(query.k);
   size_t exhausted = 0;
   while (exhausted < cursors.size()) {
     exhausted = 0;
     // One round of sorted accesses.
     for (Cursor& c : cursors) {
-      // Skip tombstones at the cursor.
-      while (c.pos != c.end && Stale(*c.pos)) {
+      // Pass over postings at the cursor that cannot be results: those
+      // whose signature rules their ad out, without reading its record,
+      // and tombstones. Neither is ever a result, so the bound below
+      // stays valid.
+      while (c.pos != c.end) {
+        if ((c.pos->signature & query_bits) == query_bits) {
+          ++probed;
+          if (!Stale(*c.pos)) break;
+        }
         ++c.pos;
-        ++last_postings_scanned_;
+        ++scanned;
       }
       if (c.pos == c.end) {
         ++exhausted;
         continue;
       }
       const uint32_t slot = (c.pos++)->slot;
-      ++last_postings_scanned_;
+      ++scanned;
       if (seen_[slot] == epoch_) continue;
       seen_[slot] = epoch_;
       const AdRecord& rec = records_[slot];
       if (!PassesFilters(rec, query)) continue;
-      ++last_candidates_;
+      ++candidates;
       heap.Offer(query.topics.Dot(rec.topics) * rec.bid, rec.id);
     }
     // Threshold test: best possible score of any unseen ad.
@@ -196,6 +242,9 @@ std::vector<ScoredAd> AdIndex::TopK(const AdQuery& query) const {
       if (bound < heap.Threshold()) break;
     }
   }
+  last_postings_scanned_ = scanned;
+  last_records_probed_ = probed;
+  last_candidates_ = candidates;
   return heap.Drain();
 }
 

@@ -23,8 +23,19 @@ namespace adrec::index {
 /// query path never hashes an ad id. A posting carries the generation of
 /// the slot it was written for; Remove bumps the slot's generation, which
 /// turns all of its postings into tombstones at once.
+///
+/// A posting also carries its ad's targeting signature: bit
+/// `location % kSignatureBuckets` of the low half for every target
+/// location and bit `slot % kSignatureBuckets` of the high half for every
+/// target slot, with an empty list setting every bit of its half. It is a
+/// superset of the ad's targeting, so TopK passes over a posting lacking
+/// the query's location or slot bit without reading the ad's record; a
+/// posting carrying both bits still runs the exact filter.
 class AdIndex {
  public:
+  /// Buckets per half of the targeting signature.
+  static constexpr uint32_t kSignatureBuckets = 32;
+
   AdIndex() = default;
 
   /// Indexes an ad. `topics` weights must be >= 0.
@@ -51,9 +62,15 @@ class AdIndex {
   /// Number of live (non-deleted) ads.
   size_t size() const { return slot_of_.size(); }
 
-  /// Diagnostics: postings touched by the last TopK call, tombstones
-  /// included (E3/E4 report).
+  /// Diagnostics: postings touched by the last TopK call, tombstones and
+  /// postings passed over on their signature included (E3/E4 report).
   size_t last_postings_scanned() const { return last_postings_scanned_; }
+
+  /// Diagnostics: postings the last TopK call read a record for, i.e.
+  /// those whose targeting signature carries the query's location and slot
+  /// bits (tombstones and already-scored ads included). Between
+  /// last_candidates() and last_postings_scanned().
+  size_t last_records_probed() const { return last_records_probed_; }
 
   /// Diagnostics: ads the last TopK call scored, i.e. live ads it reached
   /// that passed the location/slot filters.
@@ -76,6 +93,7 @@ class AdIndex {
     uint32_t slot;
     uint32_t generation;  // the slot's generation when this was written
     double weight;
+    uint64_t signature;  // targeting signature of the ad it was written for
   };
 
   struct PostingList {
@@ -123,6 +141,7 @@ class AdIndex {
   mutable std::vector<uint32_t> seen_;
   mutable uint32_t epoch_ = 0;
   mutable size_t last_postings_scanned_ = 0;
+  mutable size_t last_records_probed_ = 0;
   mutable size_t last_candidates_ = 0;
   // Incremental memory accounting (see approx_bytes()).
   size_t total_postings_ = 0;

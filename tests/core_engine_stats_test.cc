@@ -165,6 +165,31 @@ TEST_F(EngineStatsTest, ShardedMergeEqualsSumOfShards) {
             merged.topk_us.count());
 }
 
+// Every shard indexes the whole inventory, so the merged index.ads gauge
+// reports the live ads once, while index.postings_bytes (memory) stays a
+// sum over the shards' copies.
+TEST_F(EngineStatsTest, ShardedIndexAdsGaugeCountsLiveAdsOnce) {
+  ShardedEngine engine(workload_.kb, workload_.slots, 2);
+  for (const feed::Ad& ad : workload_.ads) {
+    ASSERT_TRUE(engine.InsertAd(ad).ok());
+  }
+  ASSERT_TRUE(engine.RemoveAd(workload_.ads.front().id).ok());
+  const size_t live = workload_.ads.size() - 1;
+
+  const obs::MetricsSnapshot snap = engine.MergedMetrics();
+  EXPECT_EQ(snap.gauges.at("index.ads"), static_cast<double>(live));
+  double postings_bytes = 0.0;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    const obs::MetricsSnapshot shard = engine.shard(s).metrics().Snapshot();
+    EXPECT_EQ(shard.gauges.at("index.ads"), static_cast<double>(live));
+    postings_bytes += shard.gauges.at("index.postings_bytes");
+  }
+  EXPECT_GT(postings_bytes, 0.0);
+  EXPECT_EQ(snap.gauges.at("index.postings_bytes"), postings_bytes);
+  EXPECT_EQ(snap.counters.at("engine.ads_inserted"),
+            workload_.ads.size() * engine.num_shards());
+}
+
 TEST_F(EngineStatsTest, AnalysisSubPhaseSpansAreRecorded) {
   auto engine = BuildAndReplay();
   ASSERT_TRUE(engine->RunAnalysis(0.5).ok());

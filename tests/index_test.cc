@@ -258,24 +258,24 @@ TEST(AdIndexTest, ReinsertedIdDoesNotReviveOldPostings) {
   EXPECT_EQ(top[0], (ScoredAd{AdId(3), 0.5}));
 }
 
+// Draws a target or query location (or slot) id.
+using IdDraw = uint32_t (*)(Rng&);
+
 // Slot reuse and compaction under heavy churn: ads with several target
 // locations and slots come and go over a small id pool (so ids are
 // re-inserted and slots recycled), and after every round TopK must equal
 // an independent brute-force scorer exactly — ids, order and score bits.
-class IndexChurnTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
+void ExpectExactThroughChurn(uint64_t seed, IdDraw draw_location,
+                             IdDraw draw_slot) {
   struct ModelAd {
     text::SparseVector topics;
     std::vector<uint32_t> locations;
     std::vector<uint32_t> slots;
     double bid;
   };
-  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
+  Rng rng(seed);
   const uint32_t id_pool = 120;
   const uint32_t num_topics = 12;
-  const uint32_t num_locations = 6;
-  const uint32_t num_slots = 4;
   AdIndex idx;
   std::map<uint32_t, ModelAd> live;
   bool compacted = false;
@@ -298,14 +298,12 @@ TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
       ad.topics = random_topics(4);
       std::vector<LocationId> locs;
       for (uint64_t j = rng.NextBounded(4); j > 0; --j) {
-        locs.push_back(
-            LocationId(static_cast<uint32_t>(rng.NextBounded(num_locations))));
+        locs.push_back(LocationId(draw_location(rng)));
         ad.locations.push_back(locs.back().value);
       }
       std::vector<SlotId> slots;
       for (uint64_t j = rng.NextBounded(4); j > 0; --j) {
-        slots.push_back(
-            SlotId(static_cast<uint32_t>(rng.NextBounded(num_slots))));
+        slots.push_back(SlotId(draw_slot(rng)));
         ad.slots.push_back(slots.back().value);
       }
       ad.bid = 0.5 + rng.NextDouble();
@@ -340,13 +338,8 @@ TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
 
     for (int q = 0; q < 20; ++q) {
       AdQuery query = Query(random_topics(3), 1 + rng.NextBounded(12));
-      if (rng.NextBool(0.5)) {
-        query.location =
-            LocationId(static_cast<uint32_t>(rng.NextBounded(num_locations)));
-      }
-      if (rng.NextBool(0.5)) {
-        query.slot = SlotId(static_cast<uint32_t>(rng.NextBounded(num_slots)));
-      }
+      if (rng.NextBool(0.5)) query.location = LocationId(draw_location(rng));
+      if (rng.NextBool(0.5)) query.slot = SlotId(draw_slot(rng));
       const auto passes = [&](const ModelAd& ad) {
         const auto has = [](const std::vector<uint32_t>& v, uint32_t x) {
           return v.empty() || std::find(v.begin(), v.end(), x) != v.end();
@@ -384,12 +377,174 @@ TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
       (void)idx.TopK(query);
       EXPECT_EQ(idx.last_candidates(), reachable)
           << "round " << round << " q " << q;
+      EXPECT_LE(idx.last_candidates(), idx.last_records_probed());
+      EXPECT_LE(idx.last_records_probed(), idx.last_postings_scanned());
     }
   }
   EXPECT_TRUE(compacted);
 }
 
+class IndexChurnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IndexChurnTest, TopKIsExactThroughSlotReuseAndCompaction) {
+  ExpectExactThroughChurn(
+      static_cast<uint64_t>(GetParam()) * 7919 + 17,
+      [](Rng& rng) { return static_cast<uint32_t>(rng.NextBounded(6)); },
+      [](Rng& rng) { return static_cast<uint32_t>(rng.NextBounded(4)); });
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexChurnTest, ::testing::Range(1, 9));
+
+// Three ads target colliding ids, as locations or as slots: targeting
+// signatures (DESIGN.md §5.2) map an id to bucket id mod
+// kSignatureBuckets, so 5, 5 + width and one id above 4e9 share a bucket.
+// A query at one of them reads all three records (the signature cannot
+// tell them apart), and the exact filter must keep only the ad
+// targeting it.
+void ExpectCollisionsRunTheExactFilter(bool as_slots) {
+  constexpr uint32_t kWidth = AdIndex::kSignatureBuckets;
+  const std::vector<uint32_t> ids = {5, 5 + kWidth,
+                                     4000000000u - 4000000000u % kWidth + 5};
+  AdIndex idx;
+  for (uint32_t i = 0; i < ids.size(); ++i) {
+    std::vector<LocationId> locs;
+    std::vector<SlotId> slots;
+    if (as_slots) {
+      slots.push_back(SlotId(ids[i]));
+    } else {
+      locs.push_back(LocationId(ids[i]));
+    }
+    ASSERT_TRUE(
+        idx.Insert(AdId(i + 1), Vec({{0, 1.0 - 0.1 * i}}), locs, slots).ok());
+  }
+  const auto query_at = [as_slots](uint32_t id) {
+    AdQuery q = Query(Vec({{0, 1.0}}));
+    if (as_slots) {
+      q.slot = SlotId(id);
+    } else {
+      q.location = LocationId(id);
+    }
+    return q;
+  };
+  for (uint32_t i = 0; i < ids.size(); ++i) {
+    AdQuery q = query_at(ids[i]);
+    const std::vector<ScoredAd> top = idx.TopK(q);
+    ASSERT_EQ(top.size(), 1u) << ids[i];
+    EXPECT_EQ(top[0].ad, AdId(i + 1));
+    EXPECT_EQ(idx.last_records_probed(), 3u);
+    EXPECT_EQ(idx.last_candidates(), 1u);
+    // The other half of the signature is a wildcard: any value of the
+    // other filter still admits the ad.
+    if (as_slots) {
+      q.location = LocationId(UINT32_MAX - 1);
+    } else {
+      q.slot = SlotId(7);
+    }
+    EXPECT_EQ(idx.TopK(q), top) << ids[i];
+  }
+  // An id in another bucket reads no record at all.
+  EXPECT_TRUE(idx.TopK(query_at(6)).empty());
+  EXPECT_EQ(idx.last_postings_scanned(), 3u);
+  EXPECT_EQ(idx.last_records_probed(), 0u);
+}
+
+TEST(AdIndexSignatureTest, LocationCollisionStillRunsTheExactFilter) {
+  ExpectCollisionsRunTheExactFilter(/*as_slots=*/false);
+}
+
+TEST(AdIndexSignatureTest, SlotCollisionStillRunsTheExactFilter) {
+  ExpectCollisionsRunTheExactFilter(/*as_slots=*/true);
+}
+
+// An ad with empty lists targets everywhere and always, so no query
+// filter may skip it; a query without filters reaches every ad.
+TEST(AdIndexSignatureTest, WildcardAdPassesEveryQuery) {
+  AdIndex idx;
+  ASSERT_TRUE(idx.Insert(AdId(1), Vec({{0, 0.9}}), {}, {}).ok());
+  ASSERT_TRUE(idx.Insert(AdId(2), Vec({{0, 0.8}}), {LocationId(3)},
+                         {SlotId(4)})
+                  .ok());
+  ASSERT_TRUE(idx.Insert(AdId(3), Vec({{0, 0.7}}), {LocationId(7)}, {}).ok());
+  ASSERT_TRUE(idx.Insert(AdId(4), Vec({{0, 0.6}}), {}, {SlotId(9)}).ok());
+
+  const auto ads_at = [&](LocationId location, SlotId slot) {
+    AdQuery q = Query(Vec({{0, 1.0}}));
+    q.location = location;
+    q.slot = slot;
+    std::vector<uint32_t> ads;
+    for (const ScoredAd& sa : idx.TopK(q)) ads.push_back(sa.ad.value);
+    return ads;
+  };
+  using Ids = std::vector<uint32_t>;
+  const uint32_t w = AdIndex::kSignatureBuckets;
+  EXPECT_EQ(ads_at(LocationId(), SlotId()), (Ids{1, 2, 3, 4}));
+  EXPECT_EQ(idx.last_records_probed(), 4u);
+  EXPECT_EQ(idx.last_candidates(), 4u);
+  EXPECT_EQ(ads_at(LocationId(3), SlotId(4)), (Ids{1, 2}));
+  EXPECT_EQ(ads_at(LocationId(3), SlotId()), (Ids{1, 2, 4}));
+  EXPECT_EQ(ads_at(LocationId(), SlotId(4)), (Ids{1, 2, 3}));
+  EXPECT_EQ(ads_at(LocationId(7), SlotId(9)), (Ids{1, 3, 4}));
+  // Colliding ids read ads 2 and 3's records and drop them.
+  EXPECT_EQ(ads_at(LocationId(3 + w), SlotId(4 + w)), (Ids{1}));
+  EXPECT_EQ(ads_at(LocationId(7 + w), SlotId()), (Ids{1, 4}));
+  EXPECT_EQ(ads_at(LocationId(UINT32_MAX - 1), SlotId(UINT32_MAX - 1)),
+            (Ids{1}));
+  EXPECT_EQ(ads_at(LocationId(0), SlotId(0)), (Ids{1}));
+}
+
+// A freed slot reused by an ad targeting another place in the same
+// bucket: each place returns only its own ads, the old posting reads as a
+// tombstone, and a place in another bucket skips both postings unread.
+TEST(AdIndexSignatureTest, ReusedSlotCarriesItsNewOccupantsSignature) {
+  const uint32_t w = AdIndex::kSignatureBuckets;
+  AdIndex idx;
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(idx.Insert(AdId(i), Vec({{0, 0.1 + 0.01 * i}}), {}, {}).ok());
+  }
+  ASSERT_TRUE(idx.Insert(AdId(100), Vec({{0, 0.9}}), {LocationId(1)}, {}).ok());
+  ASSERT_TRUE(idx.Remove(AdId(100)).ok());
+  ASSERT_TRUE(
+      idx.Insert(AdId(200), Vec({{0, 0.5}}), {LocationId(1 + w)}, {}).ok());
+  EXPECT_EQ(idx.total_postings(), 6u);  // 5 live + ad 100's tombstone
+
+  const auto ads_at = [&](uint32_t location) {
+    AdQuery q = Query(Vec({{0, 1.0}}), 20);
+    q.location = LocationId(location);
+    std::vector<uint32_t> ads;
+    for (const ScoredAd& sa : idx.TopK(q)) ads.push_back(sa.ad.value);
+    return ads;
+  };
+  using Ids = std::vector<uint32_t>;
+  EXPECT_EQ(ads_at(1), (Ids{3, 2, 1, 0}));
+  EXPECT_EQ(idx.last_postings_scanned(), 6u);
+  EXPECT_EQ(idx.last_records_probed(), 6u);  // tombstone and ad 200 read
+  EXPECT_EQ(idx.last_candidates(), 4u);
+  EXPECT_EQ(ads_at(1 + w), (Ids{200, 3, 2, 1, 0}));
+  EXPECT_EQ(idx.last_records_probed(), 6u);
+  EXPECT_EQ(idx.last_candidates(), 5u);
+  EXPECT_EQ(ads_at(2), (Ids{3, 2, 1, 0}));
+  EXPECT_EQ(idx.last_postings_scanned(), 6u);
+  EXPECT_EQ(idx.last_records_probed(), 4u);  // neither ad 100 nor 200 read
+}
+
+// The churn test over location and slot ids drawn from six signature
+// widths, a quarter of them just below the invalid sentinel: buckets
+// collide constantly, and TopK must still equal the brute-force model.
+class IndexSignatureChurnTest : public ::testing::TestWithParam<int> {};
+
+uint32_t WideTargetId(Rng& rng) {
+  const uint32_t spread = 3 * AdIndex::kSignatureBuckets;
+  const uint32_t offset = static_cast<uint32_t>(rng.NextBounded(spread));
+  return rng.NextBool(0.25) ? UINT32_MAX - 1 - offset : offset;
+}
+
+TEST_P(IndexSignatureChurnTest, TopKIsExactOverCollidingAndExtremeIds) {
+  ExpectExactThroughChurn(static_cast<uint64_t>(GetParam()) * 104729 + 3,
+                          WideTargetId, WideTargetId);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexSignatureChurnTest,
+                         ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace adrec::index

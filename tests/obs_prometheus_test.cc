@@ -328,10 +328,11 @@ TEST(PrometheusExportTest, CheckpointMetricFamiliesExposeAndRoundTrip) {
 }
 
 // The index's per-query work counters: every TopKAdsForTweet adds the
-// postings its TA scan touched (tombstones included) and the ads it
-// scored after the location/slot filters. They are counted per shard,
-// summed by the merged snapshot the `stats` and `metrics` verbs serve,
-// and exposed as _total counters.
+// postings its TA scan touched (tombstones included), those whose
+// targeting signature admitted the query and so cost a record read, and
+// the ads it scored after the location/slot filters. They are counted
+// per shard, summed by the merged snapshot the `stats` and `metrics`
+// verbs serve, and exposed as _total counters.
 TEST(PrometheusExportTest, IndexWorkCountersSumPerQueryIndexWork) {
   feed::WorkloadOptions opts;
   opts.seed = 77;
@@ -345,24 +346,30 @@ TEST(PrometheusExportTest, IndexWorkCountersSumPerQueryIndexWork) {
   for (const feed::FeedEvent& e : workload.MergedEvents()) engine.OnEvent(e);
 
   uint64_t scanned = 0;
+  uint64_t probed = 0;
   uint64_t candidates = 0;
   for (const feed::Tweet& t : workload.tweets) {
     (void)engine.TopKAdsForTweet(t, 3);
     const index::AdIndex& idx =
         engine.shard(engine.ShardOf(t.user)).ad_index();
     scanned += idx.last_postings_scanned();
+    probed += idx.last_records_probed();
     candidates += idx.last_candidates();
   }
   ASSERT_GT(candidates, 0u);
   EXPECT_LE(candidates, scanned);
+  EXPECT_LE(candidates, probed);
+  EXPECT_LE(probed, scanned);
 
   const MetricsSnapshot snapshot = engine.MergedMetrics();
   EXPECT_EQ(snapshot.counters.at("index.postings_scanned"), scanned);
+  EXPECT_EQ(snapshot.counters.at("index.records_probed"), probed);
   EXPECT_EQ(snapshot.counters.at("index.candidates"), candidates);
 
   const std::string prom = ExportPrometheus(snapshot);
   for (const auto& [family, value] :
        {std::pair{"adrec_index_postings_scanned_total", scanned},
+        std::pair{"adrec_index_records_probed_total", probed},
         std::pair{"adrec_index_candidates_total", candidates}}) {
     const std::string name(family);
     EXPECT_NE(prom.find("# TYPE " + name + " counter\n"), std::string::npos);
@@ -373,6 +380,7 @@ TEST(PrometheusExportTest, IndexWorkCountersSumPerQueryIndexWork) {
 
   const StatsReport report = BuildReport(snapshot);
   EXPECT_EQ(report.counters.at("index.postings_scanned"), scanned);
+  EXPECT_EQ(report.counters.at("index.records_probed"), probed);
   EXPECT_EQ(report.counters.at("index.candidates"), candidates);
 }
 
