@@ -11,7 +11,7 @@
 // that many cores — on smaller hosts (CI containers are often 1-core)
 // the pool cannot beat one event loop, so the gate degrades to a
 // non-collapse bound (pool throughput >= 0.3x single-threaded, i.e.
-// mailbox forwarding and worker wakeups must not eat the server). The
+// shard-lock contention and worker wakeups must not eat the server). The
 // core count rides in BENCH_METRICS_JSON so a baseline from one host
 // is legible on another.
 //

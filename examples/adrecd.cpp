@@ -64,21 +64,22 @@
 // evictions} and cache.hit_ratio via the `metrics` verb.
 //
 // Multi-core serving (DESIGN.md §16): --workers=N (default = the shard
-// count) runs N shard-affine event-loop workers behind one acceptor
-// thread — worker `w` owns the engine shards `s % N == w` and runs the
-// full single-threaded machinery over its own connections; cross-shard
-// ops forward through lock-free mailboxes, rare admin verbs stop the
-// world. --workers=1 is the classic single-threaded server. With a WAL,
-// multi-worker mode requires --wal-shards equal to --shards so every
-// worker commits, checkpoints and recovers its own log streams
+// count) runs N event-loop workers behind one acceptor thread, each
+// running the full single-threaded machinery over its own connections
+// and executing feed and ad ops in place under per-shard locks; rare
+// admin verbs stop the world. --workers=1 is the classic
+// single-threaded server. With a WAL, multi-worker mode requires
+// --wal-shards equal to --shards so the workers commit, checkpoint and
+// recover one log stream per shard
 // (wal/<shard>/wal-<seqno>.log); --wal-shards also works with
 // --workers=1 (parallel recovery, per-stream replication) and defaults
 // to 1 (the flat single-stream layout). A log directory written with
 // another --wal-shards is refused at startup, not misread.
 // --topk-cache is incompatible with --workers>1. With --follow, the
 // daemon runs one replication stream per log stream
-// (`repl <stream> <streams> <cursor>`), each applied by the worker owning
-// that stream's shard; a leader with another stream count refuses it.
+// (`repl <stream> <streams> <cursor>`), each polled by worker
+// `stream % N` and applied under that stream's shard lock; a leader
+// with another stream count refuses it.
 //
 // Numeric flags must be whole numbers of their type and in range
 // (counts at most 4096, ports at most 65535); anything else exits 2

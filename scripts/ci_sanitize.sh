@@ -16,10 +16,12 @@
 #           apply-observer invalidation hook, and the 20-seed
 #           cached≡uncached differential across restarts and
 #           replication), and the multi-core worker
-#           pool (acceptor handing sockets to event-loop workers over
-#           SPSC mailboxes, cross-worker stats/trace merge, per-shard
-#           WAL streams with group commit, and the per-stream repl
-#           handshake), and the incremental-durability subsystem (delta
+#           pool (acceptor handing sockets to event-loop workers that
+#           run requests in place under per-shard locks — two workers
+#           on one shard with novel words beside ad churn — the
+#           stop-the-world barrier, cross-worker stats/trace merge,
+#           per-shard WAL streams with group commit, and the per-stream
+#           repl handshake), and the incremental-durability subsystem (delta
 #           checkpoint saves with shard-parallel serialization, sealed-
 #           segment compaction racing appends, checkpoint load
 #           rejection, and the 20-seed delta≡full≡reference crash

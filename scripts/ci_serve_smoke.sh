@@ -9,7 +9,8 @@
 # gate covers the daemon binary itself, not just the serve library.
 #
 # Phase 2 reboots the daemon multi-core (--workers=2 --wal-shards=2,
-# DESIGN.md §16): live ads counted once across shards, worker-tagged
+# DESIGN.md §16): live ads counted once across shards, ad ops outside
+# the stop-the-world barrier, the shard-lock wait counter, worker-tagged
 # conns output, the checkpointer in the pool's stats, the pool's window
 # reporter, per-shard WAL stream directories on disk, and a restart that
 # replays both streams.
@@ -119,8 +120,18 @@ expect "PONG" ping
 expect "OK" tweet 3 86400 "coffee and live music downtown"
 expect "OK" tweet 4 86401 "rooftop jazz tonight"
 expect "OK" adput 9 100 50 1.5 "" "" "coffee and music deals"
-# Both shards index the ad; the gauge counts live ads, once.
-expect "STAT index.ads 1" stats
+# One `stats` reply, several checks: both shards index the ad and the
+# gauge counts live ads, once; the adput ran in place under the shard
+# locks, so the only barrier verb so far is this stats call itself; the
+# shard-lock wait counter is exported.
+STATS="$("$CLIENT" 127.0.0.1 "$PORT" stats)" || true
+for want in "STAT index.ads 1" "STAT serve.pool_barrier_ops 1" \
+            "STAT pool.shard_lock_waits "; do
+  case "$STATS" in
+    *"$want"*) echo "smoke: stats has '$want' -> ok" ;;
+    *) echo "FAIL: stats lacks '$want': $STATS"; exit 1 ;;
+  esac
+done
 expect "ADS" topk 4 3
 expect "STAT index.records_probed " stats
 expect "STAT engine.tweets 2" stats

@@ -16,13 +16,16 @@ SpotlightAnnotator::SpotlightAnnotator(const KnowledgeBase* kb,
 
 std::vector<Annotation> SpotlightAnnotator::Annotate(
     std::string_view text) const {
-  return AnnotateTerms(kb_->analyzer()->Analyze(text));
+  return AnnotateTerms(kb_->analyzer()->LookUp(text));
 }
 
 std::vector<Annotation> SpotlightAnnotator::AnnotateTerms(
-    const std::vector<text::TermId>& terms) const {
+    const text::LookedUpText& doc_terms) const {
+  const std::vector<text::TermId>& terms = doc_terms.terms;
   // Document vector for context similarity (raw term frequencies are
-  // sufficient here; both sides are L2-normalised by Cosine()).
+  // sufficient here; both sides are L2-normalised by Cosine()). Unseen
+  // terms count under their local ids: entity contexts never hold those,
+  // and an integer-count norm does not depend on which ids carry it.
   const text::SparseVector doc = text::TfIdfModel::TermFrequency(terms);
 
   // Scores one candidate sense of a mention span; `discount` scales the
@@ -79,15 +82,14 @@ std::vector<Annotation> SpotlightAnnotator::AnnotateTerms(
     if (best_node == KnowledgeBase::kNoNode) {
       // Typo fallback: fuzzy single-token match.
       if (options_.fuzzy_min_similarity > 0.0) {
-        const auto term = kb_->analyzer()->vocabulary().TryTermOf(terms[i]);
-        if (term.ok()) {
-          std::vector<Annotation> fuzzy;
-          for (const KnowledgeBase::FuzzyMatch& m : kb_->FuzzyCandidates(
-                   term.value(), options_.fuzzy_min_similarity)) {
-            fuzzy.push_back(score_candidate(m.topic, i, 1, m.similarity));
-          }
-          emit(std::move(fuzzy));
+        const std::string& term =
+            doc_terms.TermOf(terms[i], kb_->analyzer()->vocabulary());
+        std::vector<Annotation> fuzzy;
+        for (const KnowledgeBase::FuzzyMatch& m : kb_->FuzzyCandidates(
+                 term, options_.fuzzy_min_similarity)) {
+          fuzzy.push_back(score_candidate(m.topic, i, 1, m.similarity));
         }
+        emit(std::move(fuzzy));
       }
       ++i;
       continue;

@@ -7,6 +7,7 @@
 
 #include "annotate/knowledge_base.h"
 #include "common/id_types.h"
+#include "text/analyzer.h"
 #include "text/sparse_vector.h"
 
 namespace adrec::annotate {
@@ -59,13 +60,15 @@ class SpotlightAnnotator {
   explicit SpotlightAnnotator(const KnowledgeBase* kb,
                               AnnotatorOptions options = {});
 
-  /// Annotates free text. Mutates the analyzer's vocabulary (interns new
-  /// document terms), which is the intended single-writer streaming usage.
+  /// Annotates free text. Words are looked up in the analyzer's
+  /// vocabulary, never interned (text::Analyzer::LookUp): the KB is
+  /// read-only after it loads, so engine shards annotate concurrently,
+  /// and the vocabulary does not grow with what clients send.
   std::vector<Annotation> Annotate(std::string_view text) const;
 
-  /// Annotates a pre-analyzed term sequence.
+  /// Annotates a document already looked up against the KB's analyzer.
   std::vector<Annotation> AnnotateTerms(
-      const std::vector<text::TermId>& terms) const;
+      const text::LookedUpText& doc_terms) const;
 
   const AnnotatorOptions& options() const { return options_; }
 

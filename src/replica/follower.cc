@@ -211,6 +211,10 @@ void Follower::HandleControlLine(std::string_view line) {
 }
 
 void Follower::ApplyEvent(const feed::FeedEvent& event) {
+  std::unique_lock<std::mutex> lock;
+  if (apply_lock_ != nullptr) {
+    lock = std::unique_lock<std::mutex>(*apply_lock_);
+  }
   // Pre-apply, so an addel observer can still look up the doomed ad's
   // metadata in the store (the server's topk cache needs its targeting
   // to compute invalidation fan-out).

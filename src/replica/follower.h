@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
 
 #include "common/sim_clock.h"
@@ -32,8 +33,9 @@ namespace adrec::replica {
 /// The class is event-loop furniture, not a thread: serve::Server polls
 /// fd() alongside its client sockets and forwards readiness to
 /// OnPollEvents(); Tick() drives reconnect backoff and the lag gauges.
-/// All methods run on the server's event-loop thread — the follower
-/// mutates the engine, and the loop is the engine's only writer.
+/// All methods run on the server's event-loop thread. In a worker pool
+/// other workers read the same engine shard meanwhile, so the pool hands
+/// the follower that shard's lock (set_apply_lock).
 
 struct FollowerOptions {
   std::string host = "127.0.0.1";
@@ -126,6 +128,11 @@ class Follower {
     apply_observer_ = std::move(fn);
   }
 
+  /// Lock held around each event's engine apply (and its observer),
+  /// taken after the batch's local-log commit; not owned, nullptr (the
+  /// default) takes none.
+  void set_apply_lock(std::mutex* mu) { apply_lock_ = mu; }
+
  private:
   enum class State { kDisconnected, kConnecting, kHandshake, kStreaming };
 
@@ -150,6 +157,7 @@ class Follower {
   wal::WalWriter* log_;  // stream_ of the local log; not owned
   const FollowerOptions options_;
   std::function<void(const feed::FeedEvent&)> apply_observer_;
+  std::mutex* apply_lock_ = nullptr;
 
   State state_ = State::kDisconnected;
   bool detached_ = false;

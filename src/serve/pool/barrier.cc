@@ -1,25 +1,17 @@
 #include "serve/pool/barrier.h"
 
+#include <unistd.h>
+
 #include "common/logging.h"
-#include "serve/pool/mailbox.h"
 
 namespace adrec::serve::pool {
 
 PoolBarrier::PoolBarrier(size_t workers)
     : workers_(workers),
+      wake_fds_(workers, -1),
       alive_(workers, true),
       arrived_(workers, 0),
       registered_(workers) {}
-
-size_t PoolBarrier::registered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return registered_;
-}
-
-void PoolBarrier::WaitDoneLocked(std::unique_lock<std::mutex>& lk,
-                                 uint64_t gen) {
-  cv_.wait(lk, [&] { return done_generation_ >= gen; });
-}
 
 void PoolBarrier::CompleteLocked(std::unique_lock<std::mutex>& lk) {
   // Every registered worker has arrived: the pool is quiescent. The
@@ -33,6 +25,7 @@ void PoolBarrier::CompleteLocked(std::unique_lock<std::mutex>& lk) {
   if (fn) fn();
   lk.lock();
   active_ = false;
+  pending_.store(0, std::memory_order_relaxed);
   done_generation_ = gen;
   cv_.notify_all();
 }
@@ -49,19 +42,16 @@ void PoolBarrier::ArriveLocked(size_t self,
       return;
     }
   }
-  WaitDoneLocked(lk, gen);
+  cv_.wait(lk, [&] { return done_generation_ >= gen; });
 }
 
-void PoolBarrier::Arrive(size_t self, uint64_t generation) {
+void PoolBarrier::Arrive(size_t self) {
+  if (pending_.load(std::memory_order_acquire) == 0) return;
   std::unique_lock<std::mutex> lk(mu_);
-  // Stale arrival (the barrier it was posted for already completed, or a
-  // newer one replaced it — the newer one posted its own arrivals).
-  if (!active_ || generation != generation_) return;
   ArriveLocked(self, lk);
 }
 
-void PoolBarrier::Run(size_t self, Mailboxes* mail,
-                      std::function<void()> fn) {
+void PoolBarrier::Run(size_t self, std::function<void()> fn) {
   std::unique_lock<std::mutex> lk(mu_);
   ADREC_CHECK(alive_[self]);
   // Another originator's barrier is in flight: join it first — refusing
@@ -69,12 +59,13 @@ void PoolBarrier::Run(size_t self, Mailboxes* mail,
   while (active_) ArriveLocked(self, lk);
   active_ = true;
   ++generation_;
+  pending_.store(generation_, std::memory_order_release);
   arrivals_ = 0;
   fn_ = std::move(fn);
-  const uint64_t gen = generation_;
   for (size_t w = 0; w < workers_; ++w) {
     if (w == self || !alive_[w]) continue;
-    mail->Post(self, w, [this, w, gen] { Arrive(w, gen); });
+    const char b = 'b';
+    [[maybe_unused]] const ssize_t n = ::write(wake_fds_[w], &b, 1);
   }
   ArriveLocked(self, lk);
 }

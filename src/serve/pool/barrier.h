@@ -1,6 +1,7 @@
 #ifndef ADREC_SERVE_POOL_BARRIER_H_
 #define ADREC_SERVE_POOL_BARRIER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -10,39 +11,39 @@
 
 namespace adrec::serve::pool {
 
-class Mailboxes;
-
 /// Stop-the-world coordination for the worker pool's rare verbs
-/// (DESIGN.md §16): adput/addel, analyze, match, snapshot, checkpoint,
-/// promote, conns. Instead of per-verb fan-out/ack machinery, the
-/// originating worker parks EVERY worker at a rendezvous; the last
-/// arriver executes the whole operation with the pool quiescent — every
-/// other worker is blocked inside Arrive, so their shards, WAL streams
-/// and connection tables are race-free readable and writable — then all
-/// workers resume their event loops. Group commit, broadcasts and
-/// multi-shard reads reuse the existing single-threaded machinery
-/// unchanged, which is the point: correctness of the rare path never
-/// depends on fine-grained locking.
+/// (DESIGN.md §16): analyze, match, snapshot, checkpoint, compact,
+/// promote, stats, metrics, conns. Instead of per-verb fan-out/ack
+/// machinery, the originating worker parks EVERY worker at a rendezvous;
+/// the last arriver executes the whole operation with the pool quiescent
+/// — every other worker is blocked inside Arrive, holding no shard lock,
+/// so every shard, WAL stream and connection table is race-free readable
+/// and writable — then all workers resume their event loops. Correctness
+/// of the rare path never depends on the shard locks.
 ///
-/// Arrival is delivered via the pool mailboxes: Run posts an arrival
-/// task to every other registered worker; a worker that is itself trying
-/// to Run while a barrier is pending arrives at the pending one first
-/// (so two concurrent originators serialize instead of deadlocking), and
-/// a worker that exits its loop Deregisters so a barrier never waits on
-/// a thread that will not come back.
+/// Arrival: Run bumps the generation and writes one byte to every other
+/// registered worker's wake pipe (the one RequestDrain and AdoptSocket
+/// write), so a worker asleep in poll(2) wakes; every worker calls Arrive
+/// after each wakeup, which is one atomic load unless a barrier is
+/// pending. A worker that is itself trying to Run while a barrier is
+/// pending arrives at the pending one first (so two concurrent
+/// originators serialize instead of deadlocking), and a worker that exits
+/// its loop Deregisters so a barrier never waits on a thread that will not
+/// come back.
 class PoolBarrier {
  public:
   explicit PoolBarrier(size_t workers);
 
+  /// Worker `w`'s wake pipe (write end). Set before the workers start.
+  void SetWakeFd(size_t w, int fd) { wake_fds_[w] = fd; }
+
   /// Executes `fn` with every registered worker stopped. Called on
   /// worker `self`'s event-loop thread; blocks until `fn` has run.
-  /// `mail` delivers the arrival tasks.
-  void Run(size_t self, Mailboxes* mail, std::function<void()> fn);
+  void Run(size_t self, std::function<void()> fn);
 
-  /// Arrival task body: parks `self` in the current barrier (if any)
-  /// until it completes. Ignores stale generations — a queued arrival
-  /// for an already-finished barrier is a no-op.
-  void Arrive(size_t self, uint64_t generation);
+  /// Parks `self` in the pending barrier until it completes; returns at
+  /// once when none is pending.
+  void Arrive(size_t self);
 
   /// Permanently removes `self` from the rendezvous set (worker loop
   /// exit during drain). If a barrier is currently waiting only on
@@ -50,24 +51,24 @@ class PoolBarrier {
   /// registered worker is parked, so the stop-the-world guarantee holds.
   void Deregister(size_t self);
 
-  size_t registered() const;
-
  private:
   /// Runs fn_ and releases the generation. Caller holds lk.
   void CompleteLocked(std::unique_lock<std::mutex>& lk);
-  /// Parks until generation `gen` completes. Caller holds lk.
-  void WaitDoneLocked(std::unique_lock<std::mutex>& lk, uint64_t gen);
   /// Counts `self` into the active barrier if not yet counted; runs fn_
-  /// when it is the last. Caller holds lk.
+  /// when it is the last, else parks until the generation completes.
+  /// Caller holds lk.
   void ArriveLocked(size_t self, std::unique_lock<std::mutex>& lk);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   const size_t workers_;
+  std::vector<int> wake_fds_;
   std::vector<bool> alive_;        ///< still registered
   std::vector<uint64_t> arrived_;  ///< generation each worker last joined
   size_t registered_ = 0;
   bool active_ = false;
+  /// generation_ while a barrier is active, else 0: Arrive's fast path.
+  std::atomic<uint64_t> pending_{0};
   uint64_t generation_ = 0;  ///< current (active_) or last barrier id
   uint64_t done_generation_ = 0;
   size_t arrivals_ = 0;

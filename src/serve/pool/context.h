@@ -5,11 +5,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "serve/pool/barrier.h"
-#include "serve/pool/mailbox.h"
 
 namespace adrec::serve {
 class Server;
@@ -22,11 +22,21 @@ namespace adrec::serve::pool {
 /// are lanes 0..workers-1; the user-visible worker id is lane + 1 (0
 /// means "the single-threaded server" in traces and `conns` output).
 struct PoolContext {
-  explicit PoolContext(size_t n) : workers(n), mail(n), barrier(n) {}
+  PoolContext(size_t n, size_t shards)
+      : workers(n), barrier(n), shard_locks(shards) {}
 
   const size_t workers;
-  Mailboxes mail;
   PoolBarrier barrier;
+
+  /// One mutex per engine shard. The worker that reads a request runs
+  /// it in place under the locks of the shards it touches: its user's
+  /// shard for tweet/checkin/topk, every shard in ascending order for
+  /// adput/addel. A lock covers only the WAL append and the engine call
+  /// (stream `s` is appended only under lock `s`, so each stream keeps
+  /// its shard's total order) and is never held across poll(2), a
+  /// barrier wait or an fsync. A follower applies stream `s` under lock
+  /// `s`. Barrier bodies take none: every worker is parked.
+  std::vector<std::mutex> shard_locks;
 
   /// The pool-wide stream clock: newest event timestamp ingested by ANY
   /// worker, substituted into time-less `topk` queries. A relaxed

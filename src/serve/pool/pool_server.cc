@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "replica/follower.h"
 #include "wal/sharded_wal.h"
 
 namespace adrec::serve::pool {
@@ -44,16 +45,17 @@ PoolServer::PoolServer(core::ShardedEngine* engine, ServerOptions base,
   }
   ADREC_CHECK(base_.topk_cache.capacity == 0);
 
-  ctx_ = std::make_unique<PoolContext>(workers);
+  ctx_ = std::make_unique<PoolContext>(workers, engine_->num_shards());
 
-  // Followers are indexed by WAL stream (= shard); each goes to the
-  // worker that owns the shard, so the stream's single mutator is also
-  // its replication applier.
+  // Followers are indexed by WAL stream (= shard) and dealt round-robin
+  // like the shards; each applies under its shard's lock, because every
+  // worker reads every shard.
   std::vector<std::vector<replica::Follower*>> lane_followers(workers);
   bool any_follower = false;
   for (size_t s = 0; s < base_.followers.size(); ++s) {
     if (base_.followers[s] == nullptr) continue;
     any_follower = true;
+    base_.followers[s]->set_apply_lock(&ctx_->shard_locks[s]);
     lane_followers[s % workers].push_back(base_.followers[s]);
   }
 

@@ -14,31 +14,28 @@ namespace adrec::serve::pool {
 
 /// Multi-core adrecd (DESIGN.md §16): one acceptor/dispatcher thread
 /// (the thread that calls Run) plus N event-loop workers, each a full
-/// serve::Server owning the engine shards `s % N == lane` — with all of
-/// the single-threaded machinery (group commit, backpressure, shed,
-/// idle reap, drain) running per worker over its own connections.
+/// serve::Server — with all of the single-threaded machinery (group
+/// commit, backpressure, shed, idle reap, drain) running per worker over
+/// its own connections.
 ///
 /// The acceptor owns the listening socket and deals accepted sockets
 /// round-robin to the workers (AdoptSocket); connection-to-worker
-/// affinity is therefore arbitrary, and shard affinity is restored per
-/// request: a worker executes the ops of its own shards locally and
-/// forwards the rest through the pool mailboxes (ordered reply slots
-/// keep each connection's pipeline order). Rare coordination verbs
-/// stop the world (PoolBarrier) instead of growing per-verb fan-out
-/// machinery.
+/// affinity is therefore arbitrary, and so is shard affinity: the worker
+/// that reads a feed op or ad op executes it in place, under the
+/// per-shard locks of PoolContext. Rare coordination verbs stop the
+/// world (PoolBarrier) instead of growing per-verb fan-out machinery.
 ///
 /// The WAL is one stream per shard (wal::ShardedWal) so the commit
 /// barrier, checkpointing and recovery all parallelise; followers are
-/// per-stream and polled by the worker that owns the stream's shard.
+/// per-stream, polled by worker `stream % N` and applied under the
+/// stream's shard lock.
 class PoolServer {
  public:
   /// `base` is the per-worker option template. PoolServer fills in
-  /// `pool` and `lane`, distributes `base.followers` (indexed by WAL
-  /// stream) to the workers owning each stream's shard, and sets every
-  /// worker read-only when any follower is attached. `workers` must be
-  /// >= 2 (use serve::Server directly for 1) and divide the shard space
-  /// sensibly: shards are dealt round-robin, so workers > shards leaves
-  /// idle workers. Engine and log must outlive the pool.
+  /// `pool` and `lane`, deals `base.followers` (indexed by WAL stream)
+  /// to workers `stream % workers`, and sets every worker read-only when
+  /// any follower is attached. `workers` must be >= 2 (use serve::Server
+  /// directly for 1). Engine and log must outlive the pool.
   PoolServer(core::ShardedEngine* engine, ServerOptions base,
              size_t workers);
   ~PoolServer();

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <vector>
 
 #include "common/logging.h"
@@ -31,11 +30,6 @@ namespace adrec::serve {
 namespace {
 
 constexpr std::string_view kCrlf = "\r\n";
-
-/// Cap on forwarded ops in flight per connection (pool mode): past it,
-/// the pipeline stops being consumed until acks drain — per-connection
-/// backpressure toward the owning worker.
-constexpr size_t kMaxPendingForwards = 128;
 
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -74,28 +68,73 @@ std::string StatusReply(const Status& s) {
   return "SERVER_ERROR " + s.ToString() + std::string(kCrlf);
 }
 
+/// Marks a trace errored when its reply is a CLIENT_/SERVER_ERROR, with
+/// the reply's first line as the reason.
+void NoteErrorReply(obs::TraceBuilder* trace, std::string_view reply) {
+  if (!StartsWith(reply, "CLIENT_ERROR") &&
+      !StartsWith(reply, "SERVER_ERROR")) {
+    return;
+  }
+  trace->SetOutcome(obs::TraceOutcome::kError);
+  trace->SetReason(reply.substr(0, std::min(reply.find('\r'), reply.size())));
+}
+
+/// Pool mode: the verbs that stop the world (DESIGN.md §16). Each reads
+/// or writes every shard, every stream or every worker's connections,
+/// and is rare enough that parking the pool beats locking for it. One
+/// exhaustive switch, like IsWriteVerb: a new verb must be classified
+/// here (or get its shards in Server::ShardsOf) before it can run.
+bool IsBarrierVerb(Verb verb) {
+  switch (verb) {
+    case Verb::kAnalyze:
+    case Verb::kMatch:
+    case Verb::kSnapshot:
+    case Verb::kCheckpoint:
+    case Verb::kCompact:
+    case Verb::kPromote:
+    case Verb::kConns:
+    case Verb::kStats:
+    case Verb::kMetrics:
+      return true;
+    // In place: feed and ad ops under their shard locks (ShardsOf), the
+    // rest touch no shard.
+    case Verb::kTweet:
+    case Verb::kCheckIn:
+    case Verb::kAdPut:
+    case Verb::kAdDel:
+    case Verb::kTopK:
+    case Verb::kRepl:
+    case Verb::kTrace:
+    case Verb::kSlow:
+    case Verb::kPing:
+    case Verb::kQuit:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace
 
-/// One reply position in a connection's pipeline (pool mode). Replies
-/// must leave in request order, but a forwarded op completes on another
-/// worker's schedule — so each request occupies a slot, local replies
-/// complete theirs instantly, and only the done prefix flushes.
-struct Server::ReplySlot {
-  uint64_t id = 0;
-  bool done = false;
-  std::string reply;
-  /// Open trace of a forwarded op; finished when the ack lands.
-  std::unique_ptr<obs::TraceBuilder> trace;
-};
+/// The shard locks one pool request holds, released in reverse order by
+/// Release() or on scope exit.
+class Server::ShardLockGuard {
+ public:
+  ShardLockGuard() = default;
+  ShardLockGuard(std::vector<std::mutex>* locks, size_t first, size_t last)
+      : locks_(locks), first_(first), last_(last) {}
+  ShardLockGuard(const ShardLockGuard&) = delete;
+  ShardLockGuard& operator=(const ShardLockGuard&) = delete;
+  ~ShardLockGuard() { Release(); }
 
-/// A forwarded op executed this wave whose ack is withheld until this
-/// worker's commit barrier (durability before visibility holds across
-/// workers too).
-struct Server::PendingAck {
-  size_t origin = 0;
-  uint64_t conn_id = 0;
-  uint64_t slot_id = 0;
-  std::string reply;
+  void Release() {
+    for (size_t s = last_; s-- > first_;) (*locks_)[s].unlock();
+    last_ = first_;
+  }
+
+ private:
+  std::vector<std::mutex>* locks_ = nullptr;
+  size_t first_ = 0;
+  size_t last_ = 0;
 };
 
 /// Per-connection state, owned and touched only by the event loop.
@@ -127,11 +166,6 @@ struct Server::Connection {
   /// Byte-offset resume state so tail reads do not rescan the segment.
   wal::CursorHint repl_hint;
   std::chrono::steady_clock::time_point repl_last_hb;
-  // --- Pool mode ---
-  /// In-order reply queue; non-empty only while forwarded ops are in
-  /// flight (empty pipeline bypasses it entirely).
-  std::deque<ReplySlot> pending;
-  uint64_t next_slot = 1;
 };
 
 Server::Server(core::ShardedEngine* engine, ServerOptions options)
@@ -151,9 +185,9 @@ Server::Server(core::ShardedEngine* engine, ServerOptions options)
           metrics_.GetCounter("serve.repl_bytes_shipped")),
       ctr_repl_heartbeats_(metrics_.GetCounter("serve.repl_heartbeats")),
       g_repl_streams_(metrics_.GetGauge("serve.repl_streams")),
-      ctr_forwarded_(metrics_.GetCounter("serve.pool_forwarded")),
-      ctr_forward_acks_(metrics_.GetCounter("serve.pool_forward_acks")),
-      ctr_barrier_ops_(metrics_.GetCounter("serve.pool_barrier_ops")) {
+      ctr_barrier_ops_(metrics_.GetCounter("serve.pool_barrier_ops")),
+      ctr_shard_lock_waits_(metrics_.GetCounter("pool.shard_lock_waits")),
+      tm_shard_lock_wait_us_(metrics_.GetTimer("pool.shard_lock_wait_us")) {
   ADREC_CHECK(engine_ != nullptr);
   if (options_.wal != nullptr) {
     for (size_t s = 0; s < options_.wal->num_streams(); ++s) {
@@ -208,10 +242,6 @@ uint32_t Server::worker_id() const {
   return pool_mode() ? static_cast<uint32_t>(options_.lane + 1) : 0;
 }
 
-bool Server::OwnsShard(size_t shard) const {
-  return !pool_mode() || shard % pool_->workers == options_.lane;
-}
-
 Timestamp Server::StreamNow() const {
   return pool_mode()
              ? static_cast<Timestamp>(
@@ -232,6 +262,9 @@ Status Server::Start() {
     return Status::Internal(StringFormat("pipe: %s", std::strerror(errno)));
   }
   ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[0]));
+  ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[1]));
+  // A pool's barrier wakes this loop through the same pipe.
+  if (pool_mode()) pool_->barrier.SetWakeFd(options_.lane, wake_fds_[1]);
 
   // One window reporter per daemon: lane 0 reports for a pool. Created
   // here, before any worker loop runs, because its first scrape must
@@ -381,7 +414,7 @@ bool Server::ReadFrom(Connection* conn) {
           conn->in.find('\n') == std::string::npos) {
         ctr_parse_errors_->Inc();
         conn->in.clear();
-        EmitReply(conn, "CLIENT_ERROR line too long" + std::string(kCrlf));
+        conn->out += "CLIENT_ERROR line too long" + std::string(kCrlf);
         conn->closing = true;
         return true;
       }
@@ -408,15 +441,12 @@ void Server::ProcessLines(Connection* conn) {
     // cap, stop consuming its pipeline — poll stops watching POLLIN until
     // the peer drains the write buffer.
     if (conn->out.size() >= options_.max_write_buffer_bytes) break;
-    // Pool backpressure: too many forwarded ops awaiting acks — resume
-    // once the owner's acks drain the slot queue.
-    if (conn->pending.size() >= kMaxPendingForwards) break;
     const size_t nl = conn->in.find('\n', start);
     if (nl == std::string::npos) {
       // A partial line longer than the cap can never complete validly.
       if (conn->in.size() - start > options_.max_line_bytes) {
         ctr_parse_errors_->Inc();
-        EmitReply(conn, "CLIENT_ERROR line too long" + std::string(kCrlf));
+        conn->out += "CLIENT_ERROR line too long" + std::string(kCrlf);
         conn->closing = true;
         start = conn->in.size();
       }
@@ -429,7 +459,7 @@ void Server::ProcessLines(Connection* conn) {
     // overruns); a client this far out of protocol is cut off.
     if (end - start > options_.max_line_bytes) {
       ctr_parse_errors_->Inc();
-      EmitReply(conn, "CLIENT_ERROR line too long" + std::string(kCrlf));
+      conn->out += "CLIENT_ERROR line too long" + std::string(kCrlf);
       conn->closing = true;
       start = conn->in.size();
       break;
@@ -443,27 +473,6 @@ void Server::ProcessLines(Connection* conn) {
     }
   }
   conn->in.erase(0, start);
-}
-
-void Server::EmitReply(Connection* conn, std::string reply) {
-  if (conn->pending.empty()) {
-    // Fast path: no forwarded op ahead of us, the reply goes straight to
-    // the write buffer (this is every reply outside pool mode).
-    conn->out += reply;
-    return;
-  }
-  ReplySlot slot;
-  slot.id = conn->next_slot++;
-  slot.done = true;
-  slot.reply = std::move(reply);
-  conn->pending.push_back(std::move(slot));
-}
-
-void Server::FlushReplySlots(Connection* conn) {
-  while (!conn->pending.empty() && conn->pending.front().done) {
-    conn->out += conn->pending.front().reply;
-    conn->pending.pop_front();
-  }
 }
 
 void Server::Dispatch(std::string_view line, Connection* conn) {
@@ -484,7 +493,7 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   if (!parsed.ok()) {
     ctr_parse_errors_->Inc();
     const std::string detail = parsed.status().message();
-    EmitReply(conn, "CLIENT_ERROR " + detail + std::string(kCrlf));
+    conn->out += "CLIENT_ERROR " + detail + std::string(kCrlf);
     if (trace != nullptr) {
       trace->SetOutcome(obs::TraceOutcome::kError);
       trace->SetReason("CLIENT_ERROR " + detail);
@@ -510,7 +519,7 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   // the receiving worker is gating the pool.
   if (read_only_ && IsWriteVerb(req.verb)) {
     ctr_readonly_rejected_->Inc();
-    EmitReply(conn, "READONLY" + std::string(kCrlf));
+    conn->out += "READONLY" + std::string(kCrlf);
     if (trace != nullptr) {
       trace->SetOutcome(obs::TraceOutcome::kReadonly);
       trace->SetReason("READONLY");
@@ -522,7 +531,7 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   // to go just grows memory; shed instead.
   if (InflightBytes() > options_.max_inflight_bytes) {
     ctr_sheds_->Inc();
-    EmitReply(conn, "SERVER_ERROR busy" + std::string(kCrlf));
+    conn->out += "SERVER_ERROR busy" + std::string(kCrlf);
     if (trace != nullptr) {
       trace->SetOutcome(obs::TraceOutcome::kShed);
       trace->SetReason("SERVER_ERROR busy");
@@ -530,63 +539,29 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
     }
     return;
   }
-  // Pool routing (DESIGN.md §16). Hot verbs go to their shard's owner:
-  // locally when this worker owns the shard, else forwarded through the
-  // mailbox with an ordered reply slot. Rare coordination verbs
-  // stop-the-world instead of growing fan-out/merge machinery.
-  size_t shard = 0;
-  if (pool_mode()) {
-    switch (req.verb) {
-      case Verb::kTweet:
-        shard = engine_->ShardOf(req.tweet.user);
-        break;
-      case Verb::kCheckIn:
-        shard = engine_->ShardOf(req.check_in.user);
-        break;
-      case Verb::kTopK:
-        // Routed to the author's shard, same as the engine itself routes.
-        shard = engine_->ShardOf(req.tweet.user);
-        break;
-      case Verb::kAdPut:
-      case Verb::kAdDel:
-      case Verb::kAnalyze:
-      case Verb::kMatch:
-      case Verb::kSnapshot:
-      case Verb::kCheckpoint:
-      case Verb::kCompact:
-      case Verb::kPromote:
-      case Verb::kConns:
-      case Verb::kStats:
-      case Verb::kMetrics: {
-        obs::ScopedTimer timer(tm_cmds_[verb]);
-        const uint32_t exec_span =
-            trace != nullptr ? trace->StartSpan("pool.barrier") : 0;
-        std::string reply = ExecuteBarrierVerb(req, line, conn);
-        if (trace != nullptr) {
-          trace->EndSpan(exec_span);
-          if (StartsWith(reply, "CLIENT_ERROR") ||
-              StartsWith(reply, "SERVER_ERROR")) {
-            trace->SetOutcome(obs::TraceOutcome::kError);
-            const size_t eol = reply.find('\r');
-            trace->SetReason(std::string_view(reply).substr(
-                0, eol == std::string::npos ? reply.size() : eol));
-          }
-        }
-        EmitReply(conn, std::move(reply));
-        FinishTrace(std::move(trace));
-        return;
-      }
-      default:
-        break;  // trace/slow/repl/ping: purely local
+  // Pool mode (DESIGN.md §16): rare coordination verbs stop the world
+  // instead of growing fan-out/merge machinery. The body runs on
+  // whichever worker arrives last, so the request's trace stays inactive
+  // inside it.
+  if (pool_mode() && IsBarrierVerb(req.verb)) {
+    obs::ScopedTimer timer(tm_cmds_[verb]);
+    ctr_barrier_ops_->Inc();
+    const uint32_t exec_span =
+        trace != nullptr ? trace->StartSpan("pool.barrier") : 0;
+    std::string reply;
+    pool_->barrier.Run(options_.lane, [&] { reply = Execute(req, conn); });
+    if (trace != nullptr) {
+      trace->EndSpan(exec_span);
+      NoteErrorReply(trace.get(), reply);
     }
-    if ((req.verb == Verb::kTweet || req.verb == Verb::kCheckIn ||
-         req.verb == Verb::kTopK) &&
-        !OwnsShard(shard)) {
-      obs::ScopedTimer timer(tm_cmds_[verb]);
-      ForwardRequest(conn, req, line, shard, std::move(trace));
-      return;
-    }
+    conn->out += reply;
+    FinishTrace(std::move(trace));
+    return;
   }
+  // Everything else runs here, on the thread that read it — in a pool
+  // under the locks of the shards it touches, held across the WAL append
+  // and the engine call only.
+  ShardLockGuard shard_locks = LockShards(req, trace.get());
   // Write-ahead: the raw request line is the log payload (the ingest
   // grammar IS the wire grammar), appended before the engine mutates. An
   // event the WAL cannot record is refused — never applied-but-lost.
@@ -597,8 +572,7 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
     const Status append_status = LogIngest(req, line);
     if (trace != nullptr) trace->EndSpan(append_span);
     if (!append_status.ok()) {
-      EmitReply(conn,
-                "SERVER_ERROR wal append failed" + std::string(kCrlf));
+      conn->out += "SERVER_ERROR wal append failed" + std::string(kCrlf);
       if (trace != nullptr) {
         trace->SetOutcome(obs::TraceOutcome::kError);
         trace->SetReason("SERVER_ERROR wal append failed");
@@ -616,17 +590,12 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
     // seeing a trace parameter.
     obs::ScopedActiveTrace active(trace.get());
     std::string reply = Execute(req, conn);
+    shard_locks.Release();
     if (trace != nullptr) {
       trace->EndSpan(exec_span);
-      if (StartsWith(reply, "CLIENT_ERROR") ||
-          StartsWith(reply, "SERVER_ERROR")) {
-        trace->SetOutcome(obs::TraceOutcome::kError);
-        const size_t eol = reply.find('\r');
-        trace->SetReason(std::string_view(reply).substr(
-            0, eol == std::string::npos ? reply.size() : eol));
-      }
+      NoteErrorReply(trace.get(), reply);
     }
-    EmitReply(conn, std::move(reply));
+    conn->out += reply;
   }
   if (trace == nullptr) return;
   if (wal_appended) {
@@ -640,16 +609,74 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   }
 }
 
+std::pair<size_t, size_t> Server::ShardsOf(const Request& req) const {
+  switch (req.verb) {
+    case Verb::kTweet:
+    case Verb::kTopK: {  // topk routes to its author's shard, like ingest
+      const size_t s = engine_->ShardOf(req.tweet.user);
+      return {s, s + 1};
+    }
+    case Verb::kCheckIn: {
+      const size_t s = engine_->ShardOf(req.check_in.user);
+      return {s, s + 1};
+    }
+    case Verb::kAdPut:
+    case Verb::kAdDel:
+      return {0, engine_->num_shards()};
+    case Verb::kMatch:
+    case Verb::kAnalyze:
+    case Verb::kStats:
+    case Verb::kMetrics:
+    case Verb::kSnapshot:
+    case Verb::kCheckpoint:
+    case Verb::kCompact:
+    case Verb::kRepl:
+    case Verb::kPromote:
+    case Verb::kTrace:
+    case Verb::kSlow:
+    case Verb::kConns:
+    case Verb::kPing:
+    case Verb::kQuit:
+      break;
+  }
+  return {0, 0};
+}
+
+Server::ShardLockGuard Server::LockShards(const Request& req,
+                                          obs::TraceBuilder* trace) {
+  if (!pool_mode()) return {};
+  const auto [first, last] = ShardsOf(req);
+  for (size_t s = first; s < last; ++s) {
+    std::mutex& mu = pool_->shard_locks[s];
+    if (!mu.try_lock()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      mu.lock();
+      const auto t1 = std::chrono::steady_clock::now();
+      ctr_shard_lock_waits_->Inc();
+      tm_shard_lock_wait_us_->Record(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+      if (trace != nullptr) trace->AddSpan("pool.shard_wait", t0, t1);
+    }
+    // Durability before visibility across workers: this request may see
+    // another worker's append to stream s that is not committed yet, so
+    // the wave commits stream s before its replies leave (a no-op when
+    // nothing is pending).
+    if (!streams_.empty()) {
+      stream_dirty_[s] = true;
+      wal_dirty_ = true;
+    }
+  }
+  return ShardLockGuard(&pool_->shard_locks, first, last);
+}
+
 Status Server::LogIngest(const Request& req, std::string_view line) {
   // A feed event goes to its owner shard's stream only; an ad op is
   // duplicated into every stream, so each stream alone totally orders
   // everything that touches its shard.
-  size_t first = 0;
-  size_t last = streams_.size();
-  if (req.verb == Verb::kTweet || req.verb == Verb::kCheckIn) {
-    first = StreamIndexFor(engine_->ShardOf(
-        req.verb == Verb::kTweet ? req.tweet.user : req.check_in.user));
-    last = std::min(last, first + 1);
+  auto [first, last] = ShardsOf(req);
+  if (streams_.size() == 1) {
+    first = 0;
+    last = 1;
   }
   for (size_t s = first; s < last; ++s) {
     auto seqno = streams_[s]->AppendDeferred(line);
@@ -662,163 +689,6 @@ Status Server::LogIngest(const Request& req, std::string_view line) {
     wal_dirty_ = true;
   }
   return Status::OK();
-}
-
-void Server::ForwardRequest(Connection* conn, const Request& req,
-                            std::string_view line, size_t shard,
-                            std::unique_ptr<obs::TraceBuilder> trace) {
-  const size_t owner = shard % pool_->workers;
-  ReplySlot slot;
-  slot.id = conn->next_slot++;
-  slot.trace = std::move(trace);
-  const uint64_t slot_id = slot.id;
-  conn->pending.push_back(std::move(slot));
-  ctr_forwarded_->Inc();
-  Server* target = pool_->servers[owner];
-  pool_->mail.Post(
-      options_.lane, owner,
-      [target, req, line = std::string(line), origin = options_.lane,
-       conn_id = conn->id, slot_id]() mutable {
-        target->ExecuteForwarded(std::move(req), std::move(line), origin,
-                                 conn_id, slot_id);
-      });
-}
-
-void Server::ExecuteForwarded(Request req, std::string line, size_t origin,
-                              uint64_t conn_id, uint64_t slot_id) {
-  std::string reply;
-  switch (req.verb) {
-    case Verb::kTweet:
-    case Verb::kCheckIn: {
-      // Same write-ahead discipline as the local path: the owner logs to
-      // its own shard stream before it applies, and the ack is withheld
-      // until the owner's commit barrier (FlushWaveAcks).
-      if (!LogIngest(req, line).ok()) {
-        reply = "SERVER_ERROR wal append failed" + std::string(kCrlf);
-        break;
-      }
-      if (req.verb == Verb::kTweet) {
-        engine_->OnTweet(req.tweet);
-        BumpStreamClock(req.tweet.time);
-      } else {
-        engine_->OnCheckIn(req.check_in);
-        BumpStreamClock(req.check_in.time);
-      }
-      reply = "OK" + std::string(kCrlf);
-      break;
-    }
-    case Verb::kTopK:
-      reply = ExecuteTopK(req);
-      break;
-    default:
-      reply = "SERVER_ERROR bad forward" + std::string(kCrlf);
-      break;
-  }
-  wave_acks_.push_back({origin, conn_id, slot_id, std::move(reply)});
-}
-
-void Server::FlushWaveAcks() {
-  if (wave_acks_.empty()) return;
-  for (PendingAck& ack : wave_acks_) {
-    Server* origin = pool_->servers[ack.origin];
-    pool_->mail.Post(options_.lane, ack.origin,
-                     [origin, conn_id = ack.conn_id, slot_id = ack.slot_id,
-                      reply = std::move(ack.reply)]() mutable {
-                       origin->CompleteSlot(conn_id, slot_id,
-                                            std::move(reply));
-                     });
-  }
-  wave_acks_.clear();
-}
-
-void Server::CompleteSlot(uint64_t conn_id, uint64_t slot_id,
-                          std::string reply) {
-  ctr_forward_acks_->Inc();
-  for (auto& [fd, conn] : connections_) {
-    if (conn.id != conn_id) continue;
-    for (ReplySlot& slot : conn.pending) {
-      if (slot.id != slot_id) continue;
-      slot.done = true;
-      slot.reply = std::move(reply);
-      if (slot.trace != nullptr) {
-        if (StartsWith(slot.reply, "CLIENT_ERROR") ||
-            StartsWith(slot.reply, "SERVER_ERROR")) {
-          slot.trace->SetOutcome(obs::TraceOutcome::kError);
-          const size_t eol = slot.reply.find('\r');
-          slot.trace->SetReason(std::string_view(slot.reply).substr(
-              0, eol == std::string::npos ? slot.reply.size() : eol));
-        }
-        FinishTrace(std::move(slot.trace));
-      }
-      return;
-    }
-    return;  // slot vanished (connection reset its pipeline): drop
-  }
-  // Connection closed while the op was in flight: the reply has no
-  // recipient. The write itself is durable on the owner — same semantics
-  // as a client disconnecting before reading its reply.
-}
-
-std::string Server::ExecuteBarrierVerb(const Request& req,
-                                       std::string_view line,
-                                       Connection* conn) {
-  ctr_barrier_ops_->Inc();
-  std::string reply;
-  pool_->barrier.Run(options_.lane, &pool_->mail,
-                     [&] { reply = ExecuteQuiesced(req, line, conn); });
-  return reply;
-}
-
-std::string Server::ExecuteQuiesced(const Request& req,
-                                    std::string_view line, Connection* conn) {
-  // Runs with the pool quiescent: every worker is parked in the barrier,
-  // so shards, WAL streams and sibling connection tables are all safe to
-  // touch — the single-threaded machinery below needs no extra locking.
-  switch (req.verb) {
-    case Verb::kAdPut:
-    case Verb::kAdDel: {
-      // Broadcast: the ad op is appended to EVERY stream, then applied
-      // to every shard. The appends stay deferred — the originating
-      // worker's commit barrier (which covers all streams it dirtied)
-      // runs before its reply can flush.
-      if (!LogIngest(req, line).ok()) {
-        return "SERVER_ERROR wal append failed" + std::string(kCrlf);
-      }
-      const Status st = req.verb == Verb::kAdPut
-                            ? engine_->InsertAd(req.ad)
-                            : engine_->RemoveAd(req.ad_id);
-      return StatusReply(st);
-    }
-    case Verb::kAnalyze:
-      return StatusReply(req.alpha < 0.0 ? engine_->RunAnalysis()
-                                         : engine_->RunAnalysis(req.alpha));
-    case Verb::kMatch:
-      return ExecuteMatch(req);
-    case Verb::kSnapshot:
-      return ExecuteSnapshot(req);
-    case Verb::kCheckpoint:
-      return ExecuteCheckpoint();
-    case Verb::kCompact:
-      return ExecuteCompact();
-    case Verb::kPromote:
-      return ExecutePromote();
-    case Verb::kStats:
-      return ExecuteStats();
-    case Verb::kMetrics:
-      return ExecuteMetrics();
-    case Verb::kConns: {
-      size_t total = 0;
-      for (Server* s : pool_->servers) total += s->num_connections();
-      std::string out = StringFormat("CONNS %zu", total) +
-                        std::string(kCrlf);
-      for (Server* s : pool_->servers) s->AppendConnsTo(&out, conn);
-      out += "END";
-      out += kCrlf;
-      return out;
-    }
-    default:
-      return "SERVER_ERROR unreachable" + std::string(kCrlf);
-  }
 }
 
 void Server::FinishTrace(std::unique_ptr<obs::TraceBuilder> trace) {
@@ -1096,9 +966,14 @@ void Server::AppendConnsTo(std::string* out, const void* self) const {
 }
 
 std::string Server::ExecuteConns(const Connection* self) {
-  std::string out = StringFormat("CONNS %zu", connections_.size()) +
-                    std::string(kCrlf);
-  AppendConnsTo(&out, self);
+  // A pool runs this quiesced (barrier) and lists every worker's
+  // connections.
+  const std::vector<Server*> servers =
+      pool_mode() ? pool_->servers : std::vector<Server*>{this};
+  size_t total = 0;
+  for (const Server* s : servers) total += s->num_connections();
+  std::string out = StringFormat("CONNS %zu", total) + std::string(kCrlf);
+  for (const Server* s : servers) s->AppendConnsTo(&out, self);
   out += "END";
   out += kCrlf;
   return out;
@@ -1390,7 +1265,7 @@ void Server::MaybeCheckpoint() {
   if (pool_mode()) {
     // Checkpointing reads every shard: stop the world, exactly like the
     // explicit `checkpoint` verb. Only lane 0 initiates (Run gates it).
-    pool_->barrier.Run(options_.lane, &pool_->mail, do_checkpoint);
+    pool_->barrier.Run(options_.lane, do_checkpoint);
   } else {
     do_checkpoint();
   }
@@ -1413,7 +1288,7 @@ void Server::MaybeCompact() {
     // Compaction rewrites every stream's sealed files and scans sibling
     // connection tables for replica cursors: stop the world, exactly
     // like the explicit `compact` verb. Only lane 0 initiates.
-    pool_->barrier.Run(options_.lane, &pool_->mail, do_compact);
+    pool_->barrier.Run(options_.lane, do_compact);
   } else {
     do_compact();
   }
@@ -1440,8 +1315,7 @@ void Server::MaybeReport() {
   if (pool_mode()) {
     // The pool-wide scrape is only safe quiescent: stop the world, like
     // MaybeCheckpoint. Only lane 0 reports (Start creates its reporter).
-    pool_->barrier.Run(options_.lane, &pool_->mail,
-                       [this] { reporter_->Tick(); });
+    pool_->barrier.Run(options_.lane, [this] { reporter_->Tick(); });
   } else {
     reporter_->Tick();
   }
@@ -1479,10 +1353,8 @@ bool Server::WriteTo(Connection* conn) {
   }
   // A half-closed peer may still have complete pipelined lines buffered
   // in `in` (read before its EOF); those are owed responses, so only
-  // close once nothing processable remains — including forwarded ops
-  // whose acks have not come back yet.
-  if (conn->closing && conn->in.find('\n') == std::string::npos &&
-      conn->pending.empty()) {
+  // close once nothing processable remains.
+  if (conn->closing && conn->in.find('\n') == std::string::npos) {
     CloseConnection(conn);
     return false;
   }
@@ -1553,12 +1425,6 @@ void Server::Run() {
         listen_fd_ >= 0 && !draining_ &&
         std::chrono::steady_clock::now() >= accept_pause_until_;
     if (listen_polled) fds.push_back({listen_fd_, POLLIN, 0});
-    // Pool mode: sleep interruptibly on the mailbox wake pipe too, so a
-    // forwarded op or a barrier arrival lands within this poll wave.
-    const bool mail_polled = pool_mode();
-    if (mail_polled) {
-      fds.push_back({pool_->mail.wake_fd(options_.lane), POLLIN, 0});
-    }
     // Follower mode: every leader connection lives in this poll set —
     // the event loop stays the engine's only mutator, replication
     // included. (A pool worker polls the followers of its own shards.)
@@ -1574,8 +1440,7 @@ void Server::Run() {
       short events = 0;
       // Backpressured or closing connections are not read further.
       if (!conn.closing &&
-          conn.out.size() < options_.max_write_buffer_bytes &&
-          conn.pending.size() < kMaxPendingForwards) {
+          conn.out.size() < options_.max_write_buffer_bytes) {
         events |= POLLIN;
       }
       if (!conn.out.empty()) events |= POLLOUT;
@@ -1630,8 +1495,9 @@ void Server::Run() {
       while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
       }
     }
-    // The wake pipe multiplexes drain requests and socket adoption; the
-    // flag and the queue say which (possibly both).
+    // The wake pipe multiplexes drain requests, socket adoption and pool
+    // barriers; the flag, the queue and the barrier's generation say
+    // which (possibly several).
     AdoptPending();
     if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
@@ -1658,14 +1524,9 @@ void Server::Run() {
       }
       ++idx;
     }
-    if (mail_polled) ++idx;  // Drain() below reads the pipe itself
-    // Mailbox drain: forwarded ops execute here (their WAL appends stay
-    // deferred into this wave's commit barrier), acks complete reply
-    // slots, barrier arrivals park this worker.
-    if (pool_mode()) {
-      pool_->mail.FlushRetries(options_.lane);
-      pool_->mail.Drain(options_.lane);
-    }
+    // A sibling's pending barrier parks this worker here, between waves:
+    // its previous wave is committed and it holds no shard lock.
+    if (pool_mode()) pool_->barrier.Arrive(options_.lane);
     for (replica::Follower* follower : polled_followers) {
       if (fds[idx].revents != 0) follower->OnPollEvents(fds[idx].revents);
       ++idx;
@@ -1697,11 +1558,9 @@ void Server::Run() {
       ProcessLines(conn);
     }
     // Durability before visibility: every deferred WAL append of the
-    // wave is committed before any of the wave's replies can be written.
+    // wave (and, in a pool, every stream of a shard it touched) is
+    // committed before any of the wave's replies can be written.
     CommitWal();
-    // ... and before any forwarded op executed here is acknowledged to
-    // its origin worker — the ack rides behind the same barrier.
-    FlushWaveAcks();
     // ... and replication before acknowledgement-chasing: the wave's
     // freshly durable frames fan out to attached followers in the same
     // pass that flushes the wave's replies.
@@ -1718,23 +1577,13 @@ void Server::Run() {
       // instead of waiting on poll (committing each resumed batch before
       // its replies flush).
       for (;;) {
-        FlushReplySlots(conn);
         if (!conn->out.empty() || conn->closing) {
           if (!WriteTo(conn)) break;  // connection closed and erased
         }
         if (conn->out.size() >= options_.max_write_buffer_bytes) break;
         if (conn->in.find('\n') == std::string::npos) break;
-        const size_t in_before = conn->in.size();
-        const size_t pending_before = conn->pending.size();
         ProcessLines(conn);
         CommitWal();
-        FlushWaveAcks();
-        // No progress (e.g. the forward-slot cap): the resume point is
-        // the acks draining the slots, not this loop.
-        if (conn->in.size() == in_before &&
-            conn->pending.size() == pending_before) {
-          break;
-        }
       }
     }
 
@@ -1749,7 +1598,7 @@ void Server::Run() {
       for (auto& [fd, conn] : connections_) conn.closing = true;
       std::vector<int> done;
       for (auto& [fd, conn] : connections_) {
-        if (conn.out.empty() && conn.pending.empty()) done.push_back(fd);
+        if (conn.out.empty()) done.push_back(fd);
       }
       for (int fd : done) CloseConnection(&connections_.at(fd));
     }

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/topk_cache.h"
@@ -95,8 +96,9 @@ struct ServerOptions {
   /// Follower mode (not owned; empty = this daemon is a leader or a
   /// standalone): one Follower per WAL stream, indexed by stream. The
   /// server polls every follower's leader connection inside its own
-  /// event loop (a pool worker gets the followers of the shards it
-  /// owns), starts read-only (write verbs answer `READONLY`) and stays
+  /// event loop (a pool worker gets the followers of streams
+  /// `s % pool->workers == lane`, which apply under the shard locks),
+  /// starts read-only (write verbs answer `READONLY`) and stays
   /// read-only until the `promote` verb detaches them all. Requires a
   /// log (the follower logs before it applies).
   std::vector<replica::Follower*> followers;
@@ -131,11 +133,11 @@ struct ServerOptions {
   /// pool exists to avoid).
   cache::TopkCacheOptions topk_cache;
   /// Worker-pool mode (DESIGN.md §16; not owned). When set, this Server
-  /// is one event-loop worker of a PoolServer: it owns engine shards
-  /// `s % pool->workers == lane` and their WAL streams, adopts sockets
-  /// from the acceptor instead of listening, forwards cross-shard ops
-  /// through the pool mailboxes, and joins the stop-the-world barrier
-  /// for the rare coordination verbs.
+  /// is one event-loop worker of a PoolServer: it adopts sockets from
+  /// the acceptor instead of listening, runs every feed op and ad op it
+  /// reads in place under the pool's per-shard locks, polls the
+  /// followers of shards `s % pool->workers == lane`, and joins the
+  /// stop-the-world barrier for the rare coordination verbs.
   pool::PoolContext* pool = nullptr;
   /// This worker's lane in [0, pool->workers). The user-visible worker
   /// id (traces, `conns`) is lane + 1.
@@ -156,12 +158,13 @@ void MergeSharedMetrics(const core::ShardedEngine& engine,
 /// dispatching onto a core::ShardedEngine.
 ///
 /// Single-threaded by design, mirroring the engine's single-writer
-/// streaming model: the event loop is the sole mutator of its shards, so
-/// no locking is added to the hot path. Scale-out across cores is by
-/// running several of these loops side by side (serve/pool/pool_server.h)
-/// with disjoint shard ownership — not by threads inside one loop. The
-/// loop multiplexes with poll(2) — connection counts here are bounded by
-/// max_connections, far below where poll's O(n) scan matters.
+/// streaming model: alone, the event loop is the sole mutator of the
+/// engine and takes no lock. Scale-out across cores is by running
+/// several of these loops side by side (serve/pool/pool_server.h), each
+/// executing what it reads under one mutex per engine shard — not by
+/// threads inside one loop. The loop multiplexes with poll(2) —
+/// connection counts here are bounded by max_connections, far below
+/// where poll's O(n) scan matters.
 ///
 /// Lifecycle: Start() binds and listens (port() is valid after), Run()
 /// blocks in the event loop until RequestDrain() — which is async-signal-
@@ -235,15 +238,9 @@ class Server {
   /// a compacted gap.
   uint64_t ReplCursorFloor(size_t stream) const;
 
-  /// Completes a forwarded op's reply slot (runs on this worker's thread
-  /// via a mailbox ack task). Drops silently when the connection is
-  /// already gone.
-  void CompleteSlot(uint64_t conn_id, uint64_t slot_id, std::string reply);
-
  private:
   struct Connection;
-  struct ReplySlot;
-  struct PendingAck;
+  class ShardLockGuard;
 
   void AcceptNew();
   /// Registers one accepted/adopted socket (or sheds it at the door).
@@ -257,13 +254,6 @@ class Server {
   void ProcessLines(Connection* conn);
   void Dispatch(std::string_view line, Connection* conn);
   std::string Execute(const Request& req, Connection* conn);
-  /// Appends a reply in pipeline order: straight to the write buffer, or
-  /// as a completed slot when forwarded ops are still in flight ahead of
-  /// it.
-  void EmitReply(Connection* conn, std::string reply);
-  /// Flushes the completed prefix of the reply-slot queue into the write
-  /// buffer.
-  void FlushReplySlots(Connection* conn);
   /// Flushes the write buffer; returns false when the connection is gone.
   bool WriteTo(Connection* conn);
   void CloseConnection(Connection* conn);
@@ -274,27 +264,16 @@ class Server {
   bool pool_mode() const { return pool_ != nullptr; }
   /// 1-based worker id for traces/conns; 0 in the single-threaded server.
   uint32_t worker_id() const;
-  bool OwnsShard(size_t shard) const;
-  /// Ships a tweet/checkin/topk whose shard another worker owns; the
-  /// reply arrives later as a mailbox ack into the connection's ordered
-  /// slot queue.
-  void ForwardRequest(Connection* conn, const Request& req,
-                      std::string_view line,
-                      size_t shard,
-                      std::unique_ptr<obs::TraceBuilder> trace);
-  /// Owner-side execution of a forwarded op (runs on this worker's
-  /// thread). The ack is withheld until this worker's commit barrier.
-  void ExecuteForwarded(Request req, std::string line, size_t origin,
-                        uint64_t conn_id, uint64_t slot_id);
-  /// Posts the wave's withheld acks back to their origin workers (after
-  /// CommitWal, so a forwarded write is durable before its reply moves).
-  void FlushWaveAcks();
-  /// Stop-the-world execution of a rare coordination verb.
-  std::string ExecuteBarrierVerb(const Request& req, std::string_view line,
-                                 Connection* conn);
-  /// The barrier verb body; runs with the pool quiescent.
-  std::string ExecuteQuiesced(const Request& req, std::string_view line,
-                              Connection* conn);
+  /// The engine shards [first, last) `req` reads or writes: its user's
+  /// shard for tweet/checkin/topk, every shard for adput/addel, none for
+  /// the other verbs.
+  std::pair<size_t, size_t> ShardsOf(const Request& req) const;
+  /// Pool mode: takes the locks of the shards `req` touches (ShardsOf)
+  /// in ascending order, counting and timing the acquisitions that found
+  /// a lock held (with a `pool.shard_wait` span on `trace`), and marks
+  /// those shards' streams for this wave's commit. Takes none outside
+  /// pool mode.
+  ShardLockGuard LockShards(const Request& req, obs::TraceBuilder* trace);
 
   // --- Stream clock (plain member single-threaded, pool atomic). ---
   Timestamp StreamNow() const;
@@ -302,9 +281,6 @@ class Server {
 
   // --- Log streams. ---
   size_t num_streams() const { return streams_.size(); }
-  size_t StreamIndexFor(size_t shard) const {
-    return streams_.size() <= 1 ? 0 : shard;
-  }
   /// Appends an ingest verb's line to the log (deferred: CommitWal makes
   /// it durable): a tweet/check-in to its owner shard's stream, an ad op
   /// to every stream. A no-op without a log.
@@ -357,7 +333,9 @@ class Server {
   /// options_.wal's streams: empty (durability off), one, or one per
   /// engine shard.
   std::vector<wal::WalWriter*> streams_;
-  /// Streams with deferred appends awaiting the wave's Commit barrier.
+  /// Streams the wave's Commit barrier covers: those it appended to and,
+  /// in a pool, those of every shard it touched (another worker's append
+  /// there may be visible to this wave's replies).
   std::vector<bool> stream_dirty_;
   bool wal_dirty_ = false;
   pool::PoolContext* pool_ = nullptr;  // not owned
@@ -391,9 +369,6 @@ class Server {
   /// Connection ids are monotonic across the server's lifetime (fds are
   /// recycled by the kernel; `conns` output should not be).
   uint64_t next_conn_id_ = 1;
-  /// Acks for forwarded ops executed this wave, withheld until the
-  /// wave's commit barrier.
-  std::vector<PendingAck> wave_acks_;
   /// Traces of this wave's write verbs, held open until CommitWal — the
   /// group-commit barrier is part of every one of their latencies.
   std::vector<std::unique_ptr<obs::TraceBuilder>> wave_traces_;
@@ -412,9 +387,9 @@ class Server {
   obs::Counter* ctr_repl_bytes_shipped_;
   obs::Counter* ctr_repl_heartbeats_;
   obs::Gauge* g_repl_streams_;
-  obs::Counter* ctr_forwarded_;
-  obs::Counter* ctr_forward_acks_;
   obs::Counter* ctr_barrier_ops_;
+  obs::Counter* ctr_shard_lock_waits_;
+  obs::Timer* tm_shard_lock_wait_us_;
   obs::Counter* ctr_cmds_[kNumVerbs];
   obs::Timer* tm_cmds_[kNumVerbs];
 };

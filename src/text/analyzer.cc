@@ -42,4 +42,26 @@ std::vector<TermId> Analyzer::AnalyzeReadOnly(std::string_view input) const {
   return out;
 }
 
+LookedUpText Analyzer::LookUp(std::string_view input) const {
+  LookedUpText out;
+  out.strings = AnalyzeToStrings(input);
+  out.first_unseen = static_cast<TermId>(vocab_.size());
+  out.terms.reserve(out.strings.size());
+  for (size_t p = 0; p < out.strings.size(); ++p) {
+    TermId id = vocab_.Lookup(out.strings[p]);
+    if (id == kInvalidTerm) {
+      id = out.first_unseen + static_cast<TermId>(p);
+      for (size_t q = 0; q < p; ++q) {
+        if (out.terms[q] >= out.first_unseen &&
+            out.strings[q] == out.strings[p]) {
+          id = out.terms[q];  // a repeat: the first occurrence's id
+          break;
+        }
+      }
+    }
+    out.terms.push_back(id);
+  }
+  return out;
+}
+
 }  // namespace adrec::text

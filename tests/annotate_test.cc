@@ -1,4 +1,8 @@
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +176,79 @@ TEST_F(AnnotateTest, FuzzyMatchingCatchesTypos) {
     ASSERT_NE(a, nullptr) << typo;
     // Discounted below the exact-match score.
     EXPECT_LT(a->score, exact_a->score) << typo;
+  }
+}
+
+// Serving text only looks words up: a stream of novel words must not
+// grow the shared vocabulary (engine shards annotate concurrently, and
+// clients choose the words).
+TEST_F(AnnotateTest, AnnotatingNovelWordsLeavesVocabularyUnchanged) {
+  AnnotatorOptions opts;
+  opts.fuzzy_min_similarity = 0.5;
+  SpotlightAnnotator annotator(kb_.get(), opts);
+  const size_t before = analyzer_.vocabulary().size();
+  for (int i = 0; i < 50; ++i) {
+    annotator.Annotate("zorblax" + std::to_string(i) +
+                       " beach volleyball quibbleton flurm" +
+                       std::to_string(i));
+  }
+  EXPECT_EQ(analyzer_.vocabulary().size(), before);
+}
+
+// Looking words up instead of interning them changes no result: every
+// unseen token keeps its position (so it still splits a multi-token
+// surface form) and its own count (so the context cosine's norm is the
+// same), and its string reaches the fuzzy fallback.
+TEST_F(AnnotateTest, NovelWordsAnnotateAlikeInternedOrNot) {
+  AnnotatorOptions fuzzy_opts;
+  fuzzy_opts.fuzzy_min_similarity = 0.5;
+  const SpotlightAnnotator exact(kb_.get());
+  const SpotlightAnnotator fuzzy(kb_.get(), fuzzy_opts);
+  const std::vector<std::string> texts = {
+      // "beach volleyball" split by an unseen token.
+      "playing beach zorblax volleyball at sunset",
+      // Repeated novel words beside an ambiguous, context-scored mention.
+      "zorblax zorblax apple quibbleton launch zorblax iphone",
+      "baked an apple pie flurm flurm orchard harvest",
+      // A typo only the fuzzy fallback resolves.
+      "playing volleybal tonight with the grommets",
+  };
+  const auto bits = [](double d) {
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  const auto expect_same = [&](const std::vector<Annotation>& want,
+                               const std::vector<Annotation>& got,
+                               const std::string& text) {
+    ASSERT_EQ(want.size(), got.size()) << text;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].topic, got[i].topic) << text;
+      EXPECT_EQ(want[i].token_begin, got[i].token_begin) << text;
+      EXPECT_EQ(want[i].token_length, got[i].token_length) << text;
+      EXPECT_EQ(bits(want[i].score), bits(got[i].score)) << text;
+    }
+  };
+
+  std::vector<std::vector<Annotation>> unseen_exact, unseen_fuzzy;
+  for (const std::string& text : texts) {
+    unseen_exact.push_back(exact.Annotate(text));
+    unseen_fuzzy.push_back(fuzzy.Annotate(text));
+  }
+  // The unseen token kept its position: only the one-token "volleyball"
+  // surface form matched, at token 3.
+  const Annotation* split = Find(unseen_exact[0], "/Volleyball");
+  ASSERT_NE(split, nullptr);
+  EXPECT_EQ(split->token_begin, 3u);
+  EXPECT_EQ(split->token_length, 1u);
+  EXPECT_NE(Find(unseen_fuzzy[3], "/Volleyball"), nullptr);
+
+  const size_t before = analyzer_.vocabulary().size();
+  for (const std::string& text : texts) analyzer_.Analyze(text);
+  ASSERT_GT(analyzer_.vocabulary().size(), before);
+  for (size_t t = 0; t < texts.size(); ++t) {
+    expect_same(unseen_exact[t], exact.Annotate(texts[t]), texts[t]);
+    expect_same(unseen_fuzzy[t], fuzzy.Annotate(texts[t]), texts[t]);
   }
 }
 

@@ -1,9 +1,9 @@
 // The multi-core worker pool over real sockets: an acceptor thread
-// dealing connections to N event-loop workers, shard-affine routing
-// with SPSC-mailbox forwarding, per-shard WAL streams, and the merged
-// observability views (`stats`/`conns`/`trace`/`slow` carry worker
-// ids). These are also the TSan targets for the pool: every test runs
-// N worker threads plus the acceptor against concurrent clients.
+// dealing connections to N event-loop workers, each executing what it
+// reads in place under per-shard locks, per-shard WAL streams, and the
+// merged observability views (`stats`/`conns`/`trace`/`slow` carry
+// worker ids). These are also the TSan targets for the pool: every test
+// runs N worker threads plus the acceptor against concurrent clients.
 
 #include "serve/pool/pool_server.h"
 
@@ -65,14 +65,15 @@ class ServePoolTest : public ::testing::Test {
   /// > 0, attaches a ShardedWal with that many streams (must equal
   /// `shards`) plus a CheckpointManager rooted at the log directory.
   void StartPool(size_t shards, size_t workers, size_t wal_shards = 0,
-                 obs::TraceCollector* tracer = nullptr) {
+                 obs::TraceCollector* tracer = nullptr,
+                 wal::SyncPolicy sync = wal::SyncPolicy::kNone) {
     engine_ = std::make_unique<core::ShardedEngine>(workload_.kb,
                                                     workload_.slots, shards);
     ServerOptions base;
     base.tracer = tracer;
     if (wal_shards > 0) {
       wal::WalOptions wal_options;
-      wal_options.sync = wal::SyncPolicy::kNone;
+      wal_options.sync = sync;
       wal_options.shards = wal_shards;
       auto opened = wal::ShardedWal::Open(base_dir_ + "/wal", wal_options);
       ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -151,9 +152,9 @@ std::string RawFirstLine(uint16_t port, const std::string& line) {
   return in.substr(0, end);
 }
 
-/// Cross-shard traffic through one connection: the owning worker serves
-/// local shards directly and forwards the rest through the mailboxes,
-/// with per-connection reply order preserved. The `stats` barrier verb
+/// Cross-shard traffic through one connection: the worker that reads
+/// each op runs it in place, whichever shard it lands on, with
+/// per-connection reply order preserved. The `stats` barrier verb
 /// merges every worker's registry: the engine counters must account for
 /// every ingested event regardless of which worker carried it.
 TEST_F(ServePoolTest, CrossShardTrafficMergesIntoPoolStats) {
@@ -177,6 +178,133 @@ TEST_F(ServePoolTest, CrossShardTrafficMergesIntoPoolStats) {
             static_cast<long long>(kTweets));
   EXPECT_EQ(StatValue(stats.value(), "engine.topk_queries"),
             static_cast<long long>(kTweets));
+}
+
+/// What ConcurrentTraffic sent, for the count checks.
+struct TrafficTally {
+  long long tweets = 0;
+  long long checkins = 0;
+  long long topks = 0;
+  long long ads_put = 0;
+  long long ads_deleted = 0;
+};
+
+/// Two connections (dealt to different workers) interleave
+/// explicit-time tweets, check-ins and topks with words no vocabulary
+/// holds, plus adput/addel pairs that take every shard lock. Each round
+/// runs ops for users of shard 0, which both workers then run in place
+/// under one lock, and for users of the connection's own shard c, so
+/// worker 2 annotates on shard 1 while worker 1 is busy on shard 0.
+/// Every reply must be well-formed; returns what was sent.
+TrafficTally ConcurrentTraffic(uint16_t port, const core::ShardedEngine& engine,
+                               size_t rounds) {
+  std::vector<std::vector<uint32_t>> users(2);  // four users per shard
+  for (uint32_t u = 0; users[0].size() < 4 || users[1].size() < 4; ++u) {
+    std::vector<uint32_t>& of_shard = users[engine.ShardOf(UserId(u))];
+    if (of_shard.size() < 4) of_shard.push_back(u);
+  }
+  std::vector<TrafficTally> tallies(2);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+      TrafficTally& tally = tallies[c];
+      const auto expect_ok = [&](const std::string& line) {
+        auto reply = client.Command(line);
+        ASSERT_TRUE(reply.ok()) << line;
+        EXPECT_EQ(reply.value(), "OK") << line;
+      };
+      for (size_t i = 0; i < rounds; ++i) {
+        const std::string time = std::to_string(1000 + i);
+        // Novel words: every worker annotates text no vocabulary holds.
+        const std::string novel = "zq" + std::to_string(c) + "x" +
+                                  std::to_string(i) + " flurb" +
+                                  std::to_string(i * 7 + c);
+        for (size_t shard : {size_t{0}, c}) {
+          const std::string user = std::to_string(users[shard][(i + c) % 4]);
+          expect_ok("tweet\t" + user + "\t" + time + "\tcoffee " + novel +
+                    " live music");
+          ++tally.tweets;
+          expect_ok("checkin\t" + user + "\t" + time + "\t" +
+                    std::to_string(i % 5));
+          ++tally.checkins;
+          auto topk = client.Command("topk\t" + user + "\t3\t" + time +
+                                     "\tpizza " + novel);
+          ASSERT_TRUE(topk.ok());
+          EXPECT_TRUE(StartsWith(topk.value(), "ADS ") &&
+                      topk.value().ends_with("\nEND"))
+              << topk.value();
+          ++tally.topks;
+        }
+        if (i % 4 == 0) {
+          // Each connection owns its ad ids; every other ad stays live.
+          const std::string ad = std::to_string(100 + c * 1000 + i);
+          expect_ok("adput\t" + ad + "\t7\t50\t1.5\t\t\tcoffee and " + novel);
+          ++tally.ads_put;
+          if (i % 8 == 0) {
+            expect_ok("addel\t" + ad);
+            ++tally.ads_deleted;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  TrafficTally total;
+  for (const TrafficTally& t : tallies) {
+    total.tweets += t.tweets;
+    total.checkins += t.checkins;
+    total.topks += t.topks;
+    total.ads_put += t.ads_put;
+    total.ads_deleted += t.ads_deleted;
+  }
+  return total;
+}
+
+/// In-place execution under shard locks keeps every count: the pool's
+/// stats account for every op both workers ran on the shared shard, and
+/// the live ads are the puts minus the deletes.
+TEST_F(ServePoolTest, ConcurrentInPlaceExecutionKeepsEveryCount) {
+  StartPool(/*shards=*/2, /*workers=*/2);
+  const TrafficTally sent = ConcurrentTraffic(pool_->port(), *engine_, 64);
+  Client client = Connected();
+  auto stats = client.Command("stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(StatValue(stats.value(), "engine.tweets"), sent.tweets);
+  EXPECT_EQ(StatValue(stats.value(), "engine.checkins"), sent.checkins);
+  EXPECT_EQ(StatValue(stats.value(), "engine.topk_queries"), sent.topks);
+  EXPECT_EQ(StatValue(stats.value(), "index.ads"),
+            sent.ads_put - sent.ads_deleted);
+  // Ad ops are not barrier verbs any more: only this `stats` stopped
+  // the world.
+  EXPECT_EQ(StatValue(stats.value(), "serve.pool_barrier_ops"), 1);
+  EXPECT_GE(StatValue(stats.value(), "pool.shard_lock_waits"), 0);
+}
+
+/// The same traffic over a two-stream group-commit log: each stream
+/// keeps its shard's order under the shard locks, so recovery rebuilds
+/// the engine counters the live pool reported.
+TEST_F(ServePoolTest, ConcurrentInPlaceExecutionRecoversFromGroupCommitLog) {
+  StartPool(/*shards=*/2, /*workers=*/2, /*wal_shards=*/2,
+            /*tracer=*/nullptr, wal::SyncPolicy::kGroup);
+  const TrafficTally sent = ConcurrentTraffic(pool_->port(), *engine_, 32);
+  StopPool();
+  const core::EngineStats live = engine_->Stats();
+  EXPECT_EQ(static_cast<long long>(live.tweets), sent.tweets);
+  EXPECT_EQ(static_cast<long long>(live.checkins), sent.checkins);
+
+  core::ShardedEngine recovered(workload_.kb, workload_.slots, 2);
+  wal::CheckpointManager checkpointer(base_dir_ + "/wal");
+  auto result = checkpointer.Recover(&recovered, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const core::EngineStats stats = recovered.Stats();
+  EXPECT_EQ(stats.tweets, live.tweets);
+  EXPECT_EQ(stats.checkins, live.checkins);
+  EXPECT_EQ(stats.ads_inserted, live.ads_inserted);
+  EXPECT_EQ(stats.ads_removed, live.ads_removed);
+  EXPECT_EQ(recovered.shard(0).ad_store().size(),
+            engine_->shard(0).ad_store().size());
 }
 
 /// The pool must serve the same bytes as the classic single-threaded
