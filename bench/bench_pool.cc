@@ -1,7 +1,7 @@
 // E24 — "Multi-core scaling of the worker pool": one deterministic
 // Zipf op stream (closed loop, N concurrent connections) replayed
-// against the same 4-shard engine served three ways — the classic
-// single-threaded adrecd event loop, then the pool at 2 and 4 workers.
+// against the same 4-shard engine served by one serve::Server at 1, 2
+// and 4 workers (event-loop lanes).
 // Aggregate throughput and client-side topk p95 per worker count give
 // the scaling curve; the stream and the connection count are identical
 // across rounds, so only server-side parallelism varies.
@@ -29,7 +29,6 @@
 #include "feed/loadgen.h"
 #include "feed/workload.h"
 #include "obs/stats_export.h"
-#include "serve/pool/pool_server.h"
 #include "serve/server.h"
 
 namespace {
@@ -126,31 +125,18 @@ int main(int argc, char** argv) {
     ropts.connections = connections;
 
     out->workers = workers;
-    if (workers == 1) {
-      adrec::serve::Server server(&engine, sopts);
-      if (auto s = server.Start(); !s.ok()) {
-        std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-        return false;
-      }
-      server.SeedStreamClock(prime_end);
-      std::thread loop([&server] { server.Run(); });
-      out->stats =
-          adrec::feed::RunLoadMulti("127.0.0.1", server.port(), &gen, ropts);
-      server.RequestDrain();
-      loop.join();
-    } else {
-      adrec::serve::pool::PoolServer pool(&engine, sopts, workers);
-      if (auto s = pool.Start(); !s.ok()) {
-        std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-        return false;
-      }
-      pool.SeedStreamClock(prime_end);
-      std::thread loop([&pool] { pool.Run(); });
-      out->stats =
-          adrec::feed::RunLoadMulti("127.0.0.1", pool.port(), &gen, ropts);
-      pool.RequestDrain();
-      loop.join();
+    sopts.workers = workers;
+    adrec::serve::Server server(&engine, sopts);
+    if (auto s = server.Start(); !s.ok()) {
+      std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
+      return false;
     }
+    server.SeedStreamClock(prime_end);
+    std::thread loop([&server] { server.Run(); });
+    out->stats =
+        adrec::feed::RunLoadMulti("127.0.0.1", server.port(), &gen, ropts);
+    server.RequestDrain();
+    loop.join();
     return out->stats.errors == 0;
   };
 
@@ -195,8 +181,8 @@ int main(int argc, char** argv) {
     report.counters["bench.speedup_pct" + suffix] =
         static_cast<uint64_t>(speedup * 100.0);
     // Scaling floors from EXPERIMENTS.md E24 apply only when the
-    // hardware can host every worker plus the acceptor; otherwise
-    // workers time-slice one another and the honest bound is
+    // hardware can host every worker; otherwise workers time-slice
+    // one another and the honest bound is
     // "the pool machinery must not collapse throughput".
     const double floor =
         cores >= r.workers ? (r.workers >= 4 ? 2.5 : 1.6) : 0.3;

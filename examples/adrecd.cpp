@@ -64,22 +64,22 @@
 // evictions} and cache.hit_ratio via the `metrics` verb.
 //
 // Multi-core serving (DESIGN.md §16): --workers=N (default = the shard
-// count) runs N event-loop workers behind one acceptor thread, each
-// running the full single-threaded machinery over its own connections
-// and executing feed and ad ops in place under per-shard locks; rare
-// admin verbs stop the world. --workers=1 is the classic
-// single-threaded server. With a WAL, multi-worker mode requires
-// --wal-shards equal to --shards so the workers commit, checkpoint and
-// recover one log stream per shard
-// (wal/<shard>/wal-<seqno>.log); --wal-shards also works with
-// --workers=1 (parallel recovery, per-stream replication) and defaults
-// to 1 (the flat single-stream layout). A log directory written with
-// another --wal-shards is refused at startup, not misread.
+// count) runs one server with N event-loop lanes. Lane 0 runs on the
+// main thread, polls the listener and deals connections round-robin,
+// starting with itself; lanes 1..N-1 run on threads of their own. Every
+// lane executes feed and ad ops in place under per-shard locks, and the
+// rare admin verbs stop every lane. --workers=1 is the same server with
+// one lane. With a WAL, more than one worker requires --wal-shards
+// equal to --shards so the lanes commit, checkpoint and recover one log
+// stream per shard (wal/<shard>/wal-<seqno>.log); --wal-shards also
+// works with --workers=1 (parallel recovery, per-stream replication)
+// and defaults to 1 (the flat single-stream layout). A log directory
+// written with another --wal-shards is refused at startup, not misread.
 // --topk-cache is incompatible with --workers>1. With --follow, the
 // daemon runs one replication stream per log stream
-// (`repl <stream> <streams> <cursor>`), each polled by worker
-// `stream % N` and applied under that stream's shard lock; a leader
-// with another stream count refuses it.
+// (`repl <stream> <streams> <cursor>`), each polled by lane
+// `stream % N` and, with more than one lane, applied under that
+// stream's shard lock; a leader with another stream count refuses it.
 //
 // Numeric flags must be whole numbers of their type and in range
 // (counts at most 4096, ports at most 65535); anything else exits 2
@@ -115,7 +115,6 @@
 #include "feed/trace_io.h"
 #include "feed/workload.h"
 #include "replica/follower.h"
-#include "serve/pool/pool_server.h"
 #include "serve/server.h"
 #include "wal/checkpoint.h"
 #include "wal/sharded_wal.h"
@@ -123,11 +122,9 @@
 namespace {
 
 adrec::serve::Server* g_server = nullptr;
-adrec::serve::pool::PoolServer* g_pool = nullptr;
 
 void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestDrain();
-  if (g_pool != nullptr) g_pool->RequestDrain();
 }
 
 bool FlagValue(const char* arg, const char* name, const char** value) {
@@ -317,6 +314,7 @@ int main(int argc, char** argv) {
   }
   wal_opts.shards = wal_shards;
   options.port = port;
+  options.workers = workers;
 
   // The flight recorder: always on unless --trace-ring=0. The collector
   // outlives the server and the follower, both of which hold a pointer.
@@ -448,8 +446,8 @@ int main(int argc, char** argv) {
   // Follower mode: replicate the leader's WAL tail from where the local
   // (just-recovered) log ends, one replication stream per log stream:
   // follower `s` handshakes `repl <s> <streams> <cursor>` and logs into
-  // stream `s` (a pool worker polls the followers of its own shards).
-  // The server starts read-only until `promote`.
+  // stream `s` (lane `s % workers` polls it). The server starts
+  // read-only until `promote`.
   std::vector<std::unique_ptr<adrec::replica::Follower>> followers;
   if (!follow.empty()) {
     follow_opts.tracer = &tracer;
@@ -463,45 +461,25 @@ int main(int argc, char** argv) {
   }
 
   std::signal(SIGPIPE, SIG_IGN);
-  if (workers > 1) {
-    adrec::serve::pool::PoolServer pool(&engine, options, workers);
-    if (recovered_stream_time > 0) {
-      pool.SeedStreamClock(recovered_stream_time);
-    }
-    if (auto s = pool.Start(); !s.ok()) {
-      std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    g_pool = &pool;
-    std::signal(SIGTERM, HandleSignal);
-    std::signal(SIGINT, HandleSignal);
-    std::printf("adrecd listening on %s:%u (%zu shard%s, %zu workers)\n",
-                options.host.c_str(), pool.port(), shards,
-                shards == 1 ? "" : "s", workers);
-    std::fflush(stdout);
-    pool.Run();
-    g_pool = nullptr;
-  } else {
-    adrec::serve::Server server(&engine, options);
-    // Resume the stream clock where the recovered trace left off, so the
-    // analysis window and ad expiry pick up where the crashed run was.
-    if (recovered_stream_time > 0) {
-      server.SeedStreamClock(recovered_stream_time);
-    }
-    if (auto s = server.Start(); !s.ok()) {
-      std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    g_server = &server;
-    std::signal(SIGTERM, HandleSignal);
-    std::signal(SIGINT, HandleSignal);
-    std::printf("adrecd listening on %s:%u (%zu shard%s)\n",
-                options.host.c_str(), server.port(), shards,
-                shards == 1 ? "" : "s");
-    std::fflush(stdout);
-    server.Run();
-    g_server = nullptr;
+  adrec::serve::Server server(&engine, options);
+  // Resume the stream clock where the recovered trace left off, so the
+  // analysis window and ad expiry pick up where the crashed run was.
+  if (recovered_stream_time > 0) {
+    server.SeedStreamClock(recovered_stream_time);
   }
+  if (auto s = server.Start(); !s.ok()) {
+    std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  g_server = &server;
+  std::signal(SIGTERM, HandleSignal);
+  std::signal(SIGINT, HandleSignal);
+  std::printf("adrecd listening on %s:%u (%zu shard%s, %zu worker%s)\n",
+              options.host.c_str(), server.port(), shards,
+              shards == 1 ? "" : "s", workers, workers == 1 ? "" : "s");
+  std::fflush(stdout);
+  server.Run();
+  g_server = nullptr;
   std::printf("adrecd drained, exiting\n");
   return 0;
 }

@@ -15,8 +15,8 @@
 #           (cached daemons under client traffic, the follower's
 #           apply-observer invalidation hook, and the 20-seed
 #           cached≡uncached differential across restarts and
-#           replication), and the multi-core worker
-#           pool (acceptor handing sockets to event-loop workers that
+#           replication), and the multi-core server
+#           (lane 0 dealing sockets to event-loop lanes that
 #           run requests in place under per-shard locks — two workers
 #           on one shard with novel words beside ad churn — the
 #           stop-the-world barrier, cross-worker stats/trace merge,

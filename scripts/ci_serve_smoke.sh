@@ -15,7 +15,13 @@
 # reporter, per-shard WAL stream directories on disk, and a restart that
 # replays both streams.
 #
-# Phase 3 checks that malformed or out-of-range numeric flags exit 2.
+# Phase 3 checks that malformed or out-of-range numeric flags, and the
+# flag combinations the server refuses, exit 2.
+#
+# Phase 4 exhausts the daemon's descriptors (ulimit -n 24, about 40
+# connections) at --workers=1 and at --shards=2 --workers=2: accepts
+# must back off instead of spinning — idle CPU stays low, few `accept`
+# warnings are logged — and a connection opened earlier is still served.
 set -euo pipefail
 
 ADRECD="${1:?usage: ci_serve_smoke.sh <adrecd> <adrec_client>}"
@@ -71,6 +77,8 @@ expect "engine.topk" trace
 expect "traceEvents" trace chrome
 expect "SLOW" slow
 expect "CONN" conns
+# One worker is a server with one lane: its id is 1, as at any count.
+expect "worker=1 " conns
 expect "adrec_trace_traces_started_total" metrics
 
 expect "OK" addel 1
@@ -152,7 +160,7 @@ expect "ADS" topk 3 3
 # The pool's exposition carries the checkpointer, like --workers=1.
 expect "OK" checkpoint
 expect "STAT checkpoint.saves 1" stats
-# The window reporter runs in a pool too (lane 0, inside a barrier).
+# The window reporter runs at two workers too (lane 0, inside a barrier).
 for _ in $(seq 1 50); do
   grep -q "window " "$LOG" && break
   sleep 0.1
@@ -178,5 +186,56 @@ bad_flag --shards --shards=-1
 bad_flag --port --port=70000
 bad_flag --shards --shards=two
 bad_flag --follow --wal-dir="$WALDIR/follower" --follow=127.0.0.1:70000
+# Combinations the server accepts only at one worker.
+bad_flag --topk-cache --workers=2 --topk-cache=16
+bad_flag --wal-shards --shards=2 --workers=2 --wal-dir="$WALDIR/one-stream" \
+  --wal-shards=1
+
+# --- Phase 4: accept backoff when descriptors run out. ---
+
+# ticks <pid>: the process's user + system CPU time in clock ticks.
+ticks() { awk '{print $14 + $15}' "/proc/$1/stat"; }
+
+accept_backoff() {  # accept_backoff [extra adrecd flags...]
+  : >"$LOG"
+  # The subshell execs the daemon, so $! is the daemon's pid.
+  ( ulimit -n 24; exec "$ADRECD" --port=0 "$@" ) >"$LOG" 2>&1 &
+  DAEMON_PID=$!
+  PORT=""
+  for _ in $(seq 1 50); do
+    PORT="$(sed -n 's/^adrecd listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$LOG")"
+    [ -n "$PORT" ] && break
+    kill -0 "$DAEMON_PID" 2>/dev/null || { cat "$LOG"; echo "FAIL: daemon died during startup"; exit 1; }
+    sleep 0.2
+  done
+  [ -n "$PORT" ] || { cat "$LOG"; echo "FAIL: no listening line"; exit 1; }
+  local early line held=() fd i t0 t1 warnings
+  exec {early}<>"/dev/tcp/127.0.0.1/$PORT"
+  printf 'ping\n' >&"$early"
+  read -r -t 5 line <&"$early" || true
+  [ "${line%$'\r'}" = "PONG" ] || { cat "$LOG"; echo "FAIL: early connection got '$line'"; exit 1; }
+  # More connections than the daemon has descriptors: the kernel queues
+  # the rest, and the listener stays readable while accept(2) fails.
+  for i in $(seq 1 40); do
+    exec {fd}<>"/dev/tcp/127.0.0.1/$PORT"
+    held+=("$fd")
+  done
+  sleep 0.3
+  t0="$(ticks "$DAEMON_PID")"
+  sleep 1.5
+  t1="$(ticks "$DAEMON_PID")"
+  warnings="$(grep -c 'accept: ' "$LOG" || true)"
+  echo "smoke: $* EMFILE: $((t1 - t0)) CPU ticks in 1.5 s idle, $warnings accept warnings"
+  [ $((t1 - t0)) -lt 25 ] || { echo "FAIL: $* spun on a full descriptor table ($((t1 - t0)) ticks)"; exit 1; }
+  [ "$warnings" -gt 0 ] || { cat "$LOG"; echo "FAIL: $* never ran out of descriptors"; exit 1; }
+  [ "$warnings" -lt 50 ] || { echo "FAIL: $* logged $warnings accept warnings"; exit 1; }
+  printf 'ping\n' >&"$early"
+  read -r -t 5 line <&"$early" || true
+  [ "${line%$'\r'}" = "PONG" ] || { cat "$LOG"; echo "FAIL: $* early connection got '$line' under EMFILE"; exit 1; }
+  for fd in "${held[@]}" "$early"; do exec {fd}>&-; done
+  drain
+}
+accept_backoff --workers=1
+accept_backoff --shards=2 --workers=2
 
 echo "smoke: all serve checks passed"

@@ -82,8 +82,9 @@ struct TraceRecord {
   uint32_t num_spans = 0;
   /// Spans dropped because the trace was full (kTraceMaxSpans).
   uint32_t spans_dropped = 0;
-  /// Pool worker that served the request (DESIGN.md §16); 0 in the
-  /// single-threaded server, 1-based worker id under `--workers=N`.
+  /// Worker that served the request: its lane + 1 (DESIGN.md §16), at
+  /// every worker count. A server never stamps 0; 0 marks a trace no
+  /// lane served (a follower's replica apply).
   uint32_t worker = 0;
   /// The request line (truncated), NUL-terminated.
   char detail[kTraceDetailBytes] = {};
@@ -123,7 +124,7 @@ class TraceBuilder {
   void SetOutcome(TraceOutcome outcome) { rec_.outcome = outcome; }
   TraceOutcome outcome() const { return rec_.outcome; }
   void SetReason(std::string_view reason);
-  /// Stamps the serving pool worker (1-based; 0 = single-threaded).
+  /// Stamps the serving worker (lane + 1).
   void SetWorker(uint32_t worker) { rec_.worker = worker; }
 
   /// Stamps the root duration (idempotent close; the collector calls it).
@@ -328,8 +329,8 @@ class TraceBuilderPool {
 ///   SPAN <id> <index> <parent> <name> <start_us> <dur_us>
 /// Fields are TAB-separated; <detail> is the trailing field (it may
 /// itself contain tabs — it is the raw request line); <reason> has tabs
-/// replaced and is `-` when empty; <worker> is the pool worker id (0 =
-/// single-threaded server).
+/// replaced and is `-` when empty; <worker> is the serving worker id
+/// (lane + 1; 0 = no lane, a follower's replica apply).
 std::string ExportTracesTsv(const std::vector<TraceRecord>& traces);
 
 /// Chrome trace-event JSON ("X" complete events, one tid per trace),

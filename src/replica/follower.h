@@ -33,9 +33,10 @@ namespace adrec::replica {
 /// The class is event-loop furniture, not a thread: serve::Server polls
 /// fd() alongside its client sockets and forwards readiness to
 /// OnPollEvents(); Tick() drives reconnect backoff and the lag gauges.
-/// All methods run on the server's event-loop thread. In a worker pool
-/// other workers read the same engine shard meanwhile, so the pool hands
-/// the follower that shard's lock (set_apply_lock).
+/// All methods run on the event-loop thread of the server lane that
+/// polls it. With more than one lane, other lanes read the same engine
+/// shard meanwhile, so the server hands the follower that shard's lock
+/// (set_apply_lock).
 
 struct FollowerOptions {
   std::string host = "127.0.0.1";

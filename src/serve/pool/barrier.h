@@ -11,44 +11,46 @@
 
 namespace adrec::serve::pool {
 
-/// Stop-the-world coordination for the worker pool's rare verbs
-/// (DESIGN.md §16): analyze, match, snapshot, checkpoint, compact,
-/// promote, stats, metrics, conns. Instead of per-verb fan-out/ack
-/// machinery, the originating worker parks EVERY worker at a rendezvous;
-/// the last arriver executes the whole operation with the pool quiescent
-/// — every other worker is blocked inside Arrive, holding no shard lock,
-/// so every shard, WAL stream and connection table is race-free readable
-/// and writable — then all workers resume their event loops. Correctness
-/// of the rare path never depends on the shard locks.
+/// Stop-the-world coordination for the rare verbs of serve::Server's
+/// event-loop lanes (DESIGN.md §16): analyze, match, snapshot,
+/// checkpoint, compact, promote, stats, metrics, conns. Instead of
+/// per-verb fan-out/ack machinery, the originating lane parks EVERY lane
+/// at a rendezvous; the last arriver executes the whole operation with
+/// the server quiescent — every other lane is blocked inside Arrive,
+/// holding no shard lock, so every shard, WAL stream and connection
+/// table is race-free readable and writable — then all lanes resume
+/// their event loops. Correctness of the rare path never depends on the
+/// shard locks. With one lane, Run executes at once on the caller.
 ///
 /// Arrival: Run bumps the generation and writes one byte to every other
-/// registered worker's wake pipe (the one RequestDrain and AdoptSocket
-/// write), so a worker asleep in poll(2) wakes; every worker calls Arrive
+/// registered lane's wake pipe (the one drain and socket adoption
+/// write), so a lane asleep in poll(2) wakes; every lane calls Arrive
 /// after each wakeup, which is one atomic load unless a barrier is
-/// pending. A worker that is itself trying to Run while a barrier is
+/// pending. A lane that is itself trying to Run while a barrier is
 /// pending arrives at the pending one first (so two concurrent
-/// originators serialize instead of deadlocking), and a worker that exits
-/// its loop Deregisters so a barrier never waits on a thread that will not
-/// come back.
+/// originators serialize instead of deadlocking), and a lane that exits
+/// its loop Deregisters so a barrier never waits on a thread that will
+/// not come back.
 class PoolBarrier {
  public:
   explicit PoolBarrier(size_t workers);
 
-  /// Worker `w`'s wake pipe (write end). Set before the workers start.
+  /// Lane `w`'s wake pipe (write end). Set before the lanes start.
   void SetWakeFd(size_t w, int fd) { wake_fds_[w] = fd; }
 
-  /// Executes `fn` with every registered worker stopped. Called on
-  /// worker `self`'s event-loop thread; blocks until `fn` has run.
+  /// Executes `fn` with every registered lane stopped. Called on lane
+  /// `self`'s event-loop thread; blocks until `fn` has run, possibly on
+  /// another lane's thread.
   void Run(size_t self, std::function<void()> fn);
 
   /// Parks `self` in the pending barrier until it completes; returns at
   /// once when none is pending.
   void Arrive(size_t self);
 
-  /// Permanently removes `self` from the rendezvous set (worker loop
-  /// exit during drain). If a barrier is currently waiting only on
-  /// `self`, the deregistering thread executes it — by then every other
-  /// registered worker is parked, so the stop-the-world guarantee holds.
+  /// Permanently removes `self` from the rendezvous set (lane loop exit
+  /// during drain). If a barrier is currently waiting only on `self`,
+  /// the deregistering thread executes it — by then every other
+  /// registered lane is parked, so the stop-the-world guarantee holds.
   void Deregister(size_t self);
 
  private:

@@ -11,6 +11,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <map>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -18,7 +21,6 @@
 #include "core/snapshot.h"
 #include "obs/stats_export.h"
 #include "replica/follower.h"
-#include "serve/pool/context.h"
 #include "serve/reporter.h"
 #include "wal/checkpoint.h"
 #include "wal/delta/compactor.h"
@@ -79,11 +81,11 @@ void NoteErrorReply(obs::TraceBuilder* trace, std::string_view reply) {
   trace->SetReason(reply.substr(0, std::min(reply.find('\r'), reply.size())));
 }
 
-/// Pool mode: the verbs that stop the world (DESIGN.md §16). Each reads
-/// or writes every shard, every stream or every worker's connections,
-/// and is rare enough that parking the pool beats locking for it. One
+/// The verbs that stop every lane (DESIGN.md §16). Each reads or writes
+/// every shard, every stream or every lane's connections, and is rare
+/// enough that parking the lanes beats locking for it. One
 /// exhaustive switch, like IsWriteVerb: a new verb must be classified
-/// here (or get its shards in Server::ShardsOf) before it can run.
+/// here (or get its shards in Server::Lane::ShardsOf) before it can run.
 bool IsBarrierVerb(Verb verb) {
   switch (verb) {
     case Verb::kAnalyze:
@@ -113,13 +115,11 @@ bool IsBarrierVerb(Verb verb) {
   return false;
 }
 
-}  // namespace
 
-/// The shard locks one pool request holds, released in reverse order by
+/// The shard locks one request holds, released in reverse order by
 /// Release() or on scope exit.
-class Server::ShardLockGuard {
+class ShardLockGuard {
  public:
-  ShardLockGuard() = default;
   ShardLockGuard(std::vector<std::mutex>* locks, size_t first, size_t last)
       : locks_(locks), first_(first), last_(last) {}
   ShardLockGuard(const ShardLockGuard&) = delete;
@@ -132,13 +132,186 @@ class Server::ShardLockGuard {
   }
 
  private:
-  std::vector<std::mutex>* locks_ = nullptr;
-  size_t first_ = 0;
-  size_t last_ = 0;
+  std::vector<std::mutex>* locks_;
+  size_t first_;
+  size_t last_;
 };
 
-/// Per-connection state, owned and touched only by the event loop.
-struct Server::Connection {
+}  // namespace
+
+/// One event loop (DESIGN.md §9): poll(2) over its wake pipe, its
+/// followers, its own connections and, on lane 0, the listener. A wave
+/// reads and executes every ready connection, commits the log streams
+/// it touched once, then flushes its replies. A lane's state is touched
+/// only from its own thread, except the adoption queue (AdoptSocket)
+/// and what a barrier body reads or writes with every lane parked.
+class Server::Lane {
+ public:
+  Lane(Server* server, size_t index,
+       std::vector<replica::Follower*> followers);
+  ~Lane();
+
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+  /// Creates the wake pipe and, on lane 0, the window reporter.
+  Status Start();
+  /// Runs the event loop until drained.
+  void Run();
+  /// One byte down the wake pipe: async-signal-safe.
+  void Wake();
+  /// Admits the sockets lane 0 dealt here; a drained lane sheds them.
+  void AdoptPending();
+  /// This lane's serve.* and pool.* registry.
+  const obs::MetricRegistry& metrics() const { return metrics_; }
+
+ private:
+  struct Connection;
+
+  /// Lane 0: accepts what the listener holds and deals it round-robin,
+  /// starting with itself.
+  void AcceptNew();
+  /// Queues a socket accepted by lane 0 and wakes this lane
+  /// (thread-safe). The lane applies its own max_connections shed.
+  void AdoptSocket(int fd);
+  /// Registers one accepted/adopted socket (or sheds it at the door).
+  void AdmitSocket(int fd);
+  /// Drains readable bytes; returns false when the connection is gone.
+  bool ReadFrom(Connection* conn);
+  /// Parses and executes every complete line the backpressure budget
+  /// allows, appending responses to the write buffer.
+  void ProcessLines(Connection* conn);
+  void Dispatch(std::string_view line, Connection* conn);
+  std::string Execute(const Request& req, Connection* conn);
+  /// Flushes the write buffer; returns false when the connection is gone.
+  bool WriteTo(Connection* conn);
+  void CloseConnection(Connection* conn);
+  void CloseIdle();
+  size_t InflightBytes() const;
+
+  /// 1-based worker id for traces and `conns`.
+  uint32_t worker_id() const { return static_cast<uint32_t>(index_ + 1); }
+  /// The engine shards [first, last) `req` reads or writes: its user's
+  /// shard for tweet/checkin/topk, every shard for adput/addel, none for
+  /// the other verbs.
+  std::pair<size_t, size_t> ShardsOf(const Request& req) const;
+  /// Takes the locks of the shards `req` touches (ShardsOf) in
+  /// ascending order, counting and timing the acquisitions that found a
+  /// lock held (with a `pool.shard_wait` span on `trace`), and marks
+  /// those shards' streams for this wave's commit.
+  ShardLockGuard LockShards(const Request& req, obs::TraceBuilder* trace);
+
+  size_t num_streams() const { return streams_.size(); }
+  /// Appends an ingest verb's line to the log (deferred: CommitWal makes
+  /// it durable): a tweet/check-in to its owner shard's stream, an ad op
+  /// to every stream. A no-op without a log.
+  Status LogIngest(const Request& req, std::string_view line);
+  /// Periodic window report (options_.report_interval), run by lane 0
+  /// between waves inside a barrier, so the merged scrape is quiescent.
+  void MaybeReport();
+
+  std::string ExecuteTopK(const Request& req);
+  /// The cached topk path: lookup + revalidate-and-charge, else compute
+  /// and fill. `query` already has the stream clock substituted.
+  std::string ExecuteTopKCached(const feed::Tweet& query, size_t k);
+  std::string ExecuteMatch(const Request& req);
+  std::string ExecuteStats();
+  std::string ExecuteMetrics();
+  std::string ExecuteTrace(const Request& req);
+  std::string ExecuteSlow();
+  std::string ExecuteConns(const Connection* self);
+  /// Appends this lane's `conns` lines (without header/END) to `out`;
+  /// `self` marks the requesting connection when it lives here.
+  void AppendConnsTo(std::string* out, const void* self) const;
+  std::string ExecuteSnapshot(const Request& req);
+  std::string ExecuteCheckpoint();
+  /// The `compact` verb body: compacts every stream's sealed segments,
+  /// preserving everything at or past the attached replicas' cursors.
+  std::string ExecuteCompact();
+  /// Smallest WAL seqno a replication connection on this lane still
+  /// needs from `stream` (its next unshipped frame), UINT64_MAX when no
+  /// replica is attached here. Compaction takes the min across lanes as
+  /// its preserve floor so a follower's resume cursor never lands in a
+  /// compacted gap.
+  uint64_t ReplCursorFloor(size_t stream) const;
+  std::string ExecuteRepl(const Request& req, Connection* conn);
+  std::string ExecutePromote();
+  /// Leader-side tail fan-out: after the wave's WAL commit, ships newly
+  /// flushed frames (and due heartbeats) to every replication stream
+  /// whose write buffer has room.
+  void PumpReplicas();
+  /// Durability barrier for the deferred WAL appends of the current
+  /// event-loop batch; no-op when nothing was appended since the last
+  /// commit. Commits every stream the wave dirtied; closes the wave's
+  /// write-verb traces with a retroactive `wal.commit_wave` span.
+  void CommitWal();
+  /// Lane 0's periodic checkpoint and idle-time compaction triggers
+  /// (options_.checkpoint_interval, options_.compact_interval), run
+  /// between waves inside a barrier.
+  void MaybeCheckpoint();
+  void MaybeCompact();
+  /// Finishes a trace through the collector and recycles the builder.
+  void FinishTrace(std::unique_ptr<obs::TraceBuilder> trace);
+
+  Server* const server_;
+  const size_t index_;
+  // Aliases of the server's shared state.
+  core::ShardedEngine* const engine_;
+  const ServerOptions& options_;
+  const std::vector<wal::WalWriter*>& streams_;
+  cache::TopkCache* const cache_;
+  /// The followers this lane polls: stream `s` goes to lane
+  /// `s % workers`.
+  const std::vector<replica::Follower*> followers_;
+  /// Streams this wave's Commit barrier covers: those it appended to and
+  /// those of every shard it touched (another lane's append there may be
+  /// visible to this wave's replies).
+  std::vector<bool> stream_dirty_;
+  bool wal_dirty_ = false;
+  /// Window reporter; lane 0 only, and only with a report interval.
+  std::unique_ptr<PeriodicReporter> reporter_;
+  int wake_fds_[2] = {-1, -1};  // self-pipe: drain, adoption, barriers
+  bool draining_ = false;
+  /// Sockets dealt here by lane 0, awaiting adoption.
+  std::mutex adopt_mu_;
+  std::vector<int> adopted_;
+  /// Lane 0's accept backoff after EMFILE/ENFILE: until this instant the
+  /// listen fd is left out of the poll set so the loop cannot busy-spin
+  /// on a readable-but-unacceptable listener.
+  std::chrono::steady_clock::time_point accept_pause_until_{};
+  /// Lane 0: the lane the next accepted socket goes to.
+  size_t next_lane_ = 0;
+  std::map<int, Connection> connections_;
+  /// Connection ids are monotonic across the lane's lifetime (fds are
+  /// recycled by the kernel; `conns` output should not be).
+  uint64_t next_conn_id_ = 1;
+  /// Traces of this wave's write verbs, held open until CommitWal — the
+  /// group-commit barrier is part of every one of their latencies.
+  std::vector<std::unique_ptr<obs::TraceBuilder>> wave_traces_;
+  obs::TraceBuilderPool trace_pool_;
+
+  obs::MetricRegistry metrics_;
+  obs::Counter* ctr_accepted_;
+  obs::Counter* ctr_rejected_;
+  obs::Gauge* g_active_;
+  obs::Counter* ctr_parse_errors_;
+  obs::Counter* ctr_sheds_;
+  obs::Counter* ctr_bytes_in_;
+  obs::Counter* ctr_bytes_out_;
+  obs::Counter* ctr_idle_closed_;
+  obs::Counter* ctr_readonly_rejected_;
+  obs::Counter* ctr_repl_bytes_shipped_;
+  obs::Counter* ctr_repl_heartbeats_;
+  obs::Gauge* g_repl_streams_;
+  obs::Counter* ctr_barrier_ops_;
+  obs::Counter* ctr_shard_lock_waits_;
+  obs::Timer* tm_shard_lock_wait_us_;
+  obs::Counter* ctr_cmds_[kNumVerbs];
+  obs::Timer* tm_cmds_[kNumVerbs];
+};
+
+/// Per-connection state, owned and touched only by its lane.
+struct Server::Lane::Connection {
   int fd = -1;
   /// Unconsumed request bytes (partial or backpressured lines).
   std::string in;
@@ -171,43 +344,35 @@ struct Server::Connection {
 Server::Server(core::ShardedEngine* engine, ServerOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      ctr_accepted_(metrics_.GetCounter("serve.connections_accepted")),
-      ctr_rejected_(metrics_.GetCounter("serve.connections_rejected")),
-      g_active_(metrics_.GetGauge("serve.connections_active")),
-      ctr_parse_errors_(metrics_.GetCounter("serve.parse_errors")),
-      ctr_sheds_(metrics_.GetCounter("serve.sheds")),
-      ctr_bytes_in_(metrics_.GetCounter("serve.bytes_in")),
-      ctr_bytes_out_(metrics_.GetCounter("serve.bytes_out")),
-      ctr_idle_closed_(metrics_.GetCounter("serve.idle_closed")),
-      ctr_readonly_rejected_(
-          metrics_.GetCounter("serve.readonly_rejected")),
-      ctr_repl_bytes_shipped_(
-          metrics_.GetCounter("serve.repl_bytes_shipped")),
-      ctr_repl_heartbeats_(metrics_.GetCounter("serve.repl_heartbeats")),
-      g_repl_streams_(metrics_.GetGauge("serve.repl_streams")),
-      ctr_barrier_ops_(metrics_.GetCounter("serve.pool_barrier_ops")),
-      ctr_shard_lock_waits_(metrics_.GetCounter("pool.shard_lock_waits")),
-      tm_shard_lock_wait_us_(metrics_.GetTimer("pool.shard_lock_wait_us")) {
-  ADREC_CHECK(engine_ != nullptr);
+      shard_locks_(engine->num_shards()),
+      barrier_(options_.workers) {
+  ADREC_CHECK(options_.workers >= 1);
   if (options_.wal != nullptr) {
     for (size_t s = 0; s < options_.wal->num_streams(); ++s) {
       streams_.push_back(options_.wal->stream(s));
     }
     // Stream s holds exactly shard s's history (plus the ad broadcast):
-    // any other mapping would break per-shard replay.
-    ADREC_CHECK(streams_.size() == 1 ||
-                streams_.size() == engine_->num_shards());
+    // any other mapping would break per-shard replay. One stream holds
+    // every shard's, in the order one lane appended them.
+    ADREC_CHECK(streams_.size() == engine_->num_shards() ||
+                (streams_.size() == 1 && options_.workers == 1));
   }
-  stream_dirty_.assign(streams_.size(), false);
-  // A follower starts read-only; `promote` is the only way out. A pool
-  // worker also starts read-only when any sibling has a follower.
-  read_only_ = !options_.followers.empty() || options_.start_read_only;
-  pool_ = options_.pool;
-  if (pool_ != nullptr) {
-    ADREC_CHECK(options_.lane < pool_->workers);
-    // The topk cache is per-worker state invalidated by pool-wide ingest;
-    // pool mode runs without it (DESIGN.md §16).
-    ADREC_CHECK(options_.topk_cache.capacity == 0);
+  // The cache would need invalidating by ingest on every lane
+  // (DESIGN.md §14).
+  ADREC_CHECK(options_.topk_cache.capacity == 0 || options_.workers == 1);
+  // A follower starts the daemon read-only; `promote` is the only way
+  // out. Followers are indexed by stream and dealt round-robin to the
+  // lanes.
+  read_only_ = !options_.followers.empty();
+  ADREC_CHECK(!read_only_ || options_.followers.size() == streams_.size());
+  std::vector<std::vector<replica::Follower*>> lane_followers(
+      options_.workers);
+  for (size_t s = 0; s < options_.followers.size(); ++s) {
+    replica::Follower* follower = options_.followers[s];
+    // Another lane may read shard s while this one applies to it. (More
+    // than one lane implies one stream per shard, so stream s = shard s.)
+    if (options_.workers > 1) follower->set_apply_lock(&shard_locks_[s]);
+    lane_followers[s % options_.workers].push_back(follower);
   }
   if (options_.topk_cache.capacity > 0) {
     cache_ = std::make_unique<cache::TopkCache>(options_.topk_cache);
@@ -218,65 +383,18 @@ Server::Server(core::ShardedEngine* engine, ServerOptions options)
           [this](const feed::FeedEvent& event) { InvalidateCacheFor(event); });
     }
   }
-  for (size_t v = 0; v < kNumVerbs; ++v) {
-    const std::string name(VerbName(static_cast<Verb>(v)));
-    ctr_cmds_[v] = metrics_.GetCounter("serve.cmd_" + name);
-    tm_cmds_[v] = metrics_.GetTimer("serve.cmd_" + name + "_us");
+  for (size_t lane = 0; lane < options_.workers; ++lane) {
+    lanes_.push_back(std::make_unique<Lane>(
+        this, lane, std::move(lane_followers[lane])));
   }
 }
 
 Server::~Server() {
-  for (auto& [fd, conn] : connections_) ::close(fd);
-  connections_.clear();
-  {
-    std::lock_guard<std::mutex> lk(adopt_mu_);
-    for (int fd : adopted_) ::close(fd);
-    adopted_.clear();
-  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
-}
-
-uint32_t Server::worker_id() const {
-  return pool_mode() ? static_cast<uint32_t>(options_.lane + 1) : 0;
-}
-
-Timestamp Server::StreamNow() const {
-  return pool_mode()
-             ? static_cast<Timestamp>(
-                   pool_->stream_now.load(std::memory_order_relaxed))
-             : stream_now_;
-}
-
-void Server::BumpStreamClock(Timestamp t) {
-  if (pool_mode()) {
-    pool_->BumpStreamClock(static_cast<int64_t>(t));
-  } else if (t > stream_now_) {
-    stream_now_ = t;
-  }
 }
 
 Status Server::Start() {
-  if (pipe(wake_fds_) != 0) {
-    return Status::Internal(StringFormat("pipe: %s", std::strerror(errno)));
-  }
-  ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[0]));
-  ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[1]));
-  // A pool's barrier wakes this loop through the same pipe.
-  if (pool_mode()) pool_->barrier.SetWakeFd(options_.lane, wake_fds_[1]);
-
-  // One window reporter per daemon: lane 0 reports for a pool. Created
-  // here, before any worker loop runs, because its first scrape must
-  // see the pool quiescent.
-  if (options_.report_interval > 0.0 && options_.lane == 0) {
-    reporter_ = std::make_unique<PeriodicReporter>(
-        [this] { return MergedSnapshot(); }, options_.report_interval);
-  }
-
-  // Pool workers do not listen: the PoolServer's acceptor thread owns
-  // the listening socket and hands accepted fds over via AdoptSocket.
-  if (pool_mode()) return Status::OK();
+  for (const auto& lane : lanes_) ADREC_RETURN_NOT_OK(lane->Start());
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -313,23 +431,172 @@ Status Server::Start() {
 }
 
 void Server::RequestDrain() {
-  // Async-signal-safe: one byte down the self-pipe wakes poll(); the loop
-  // reads the pipe, sees the flag and flips into draining.
+  // Async-signal-safe: one byte down each lane's self-pipe wakes its
+  // poll(); the loop reads the pipe, sees the flag and flips into
+  // draining.
   drain_requested_.store(true, std::memory_order_release);
-  const char b = 'q';
+  for (const auto& lane : lanes_) lane->Wake();
+}
+
+void Server::Run() {
+  ADREC_CHECK(listen_fd_ >= 0);
+  last_checkpoint_ = std::chrono::steady_clock::now();
+  last_compact_ = last_checkpoint_;
+  std::vector<std::thread> threads;
+  for (size_t i = 1; i < lanes_.size(); ++i) {
+    threads.emplace_back([lane = lanes_[i].get()] { lane->Run(); });
+  }
+  lanes_[0]->Run();
+  for (std::thread& t : threads) t.join();
+  // Lane 0 may have dealt a socket to a lane that had already drained:
+  // shed it rather than strand the client.
+  for (const auto& lane : lanes_) lane->AdoptPending();
+  if (options_.wal != nullptr) {
+    // Final barrier, once, after every lane stopped: under kNone/kInterval
+    // the tail of the log may still be in page cache; a clean shutdown
+    // should not lose it.
+    const Status st = options_.wal->SyncAll();
+    if (!st.ok()) {
+      ADREC_LOG(kError) << "serve: final wal sync failed: " << st.ToString();
+    }
+  }
+  ADREC_LOG(kInfo) << "serve: drained, event loops exiting";
+}
+
+obs::MetricsSnapshot Server::MergedSnapshot() const {
+  obs::MetricsSnapshot snapshot;
+  for (const auto& lane : lanes_) {
+    snapshot.MergeFrom(lane->metrics().Snapshot());
+  }
+  if (cache_ != nullptr) snapshot.MergeFrom(cache_->metrics().Snapshot());
+  snapshot.MergeFrom(engine_->MergedMetrics());
+  if (options_.wal != nullptr) {
+    snapshot.MergeFrom(options_.wal->MergedMetrics());
+  }
+  for (const replica::Follower* follower : options_.followers) {
+    snapshot.MergeFrom(follower->metrics().Snapshot());
+  }
+  if (options_.checkpointer != nullptr) {
+    snapshot.MergeFrom(options_.checkpointer->metrics().Snapshot());
+  }
+  if (options_.tracer != nullptr) {
+    snapshot.MergeFrom(options_.tracer->metrics().Snapshot());
+  }
+  return snapshot;
+}
+
+Timestamp Server::StreamNow() const {
+  return static_cast<Timestamp>(stream_clock_.load(std::memory_order_relaxed));
+}
+
+void Server::BumpStreamClock(Timestamp t) {
+  const int64_t next = static_cast<int64_t>(t);
+  int64_t cur = stream_clock_.load(std::memory_order_relaxed);
+  while (next > cur && !stream_clock_.compare_exchange_weak(
+                           cur, next, std::memory_order_relaxed)) {
+  }
+}
+
+size_t Server::StreamOf(size_t shard) const {
+  return streams_.size() == engine_->num_shards() ? shard : 0;
+}
+
+void Server::InvalidateCacheFor(const feed::FeedEvent& event) {
+  if (cache_ == nullptr) return;
+  switch (event.kind) {
+    case feed::EventKind::kTweet:
+      cache_->OnTweet(event.tweet.user);
+      break;
+    case feed::EventKind::kCheckIn:
+      cache_->OnCheckIn(event.check_in.user, event.check_in.location);
+      break;
+    case feed::EventKind::kAdInsert:
+      cache_->OnAdPut(event.ad.target_locations, event.ad.target_slots);
+      break;
+    case feed::EventKind::kAdDelete:
+      // Pre-apply: the ad is still in the store. A missing ad means the
+      // delete will no-op, so nothing can change.
+      if (const ads::StoredAd* ad = engine_->FindAd(event.ad_id)) {
+        cache_->OnAdRemoved(ad->ad.target_locations, ad->ad.target_slots);
+      }
+      break;
+  }
+}
+
+Server::Lane::Lane(Server* server, size_t index,
+                   std::vector<replica::Follower*> followers)
+    : server_(server),
+      index_(index),
+      engine_(server->engine_),
+      options_(server->options_),
+      streams_(server->streams_),
+      cache_(server->cache_.get()),
+      followers_(std::move(followers)),
+      stream_dirty_(server->streams_.size(), false),
+      ctr_accepted_(metrics_.GetCounter("serve.connections_accepted")),
+      ctr_rejected_(metrics_.GetCounter("serve.connections_rejected")),
+      g_active_(metrics_.GetGauge("serve.connections_active")),
+      ctr_parse_errors_(metrics_.GetCounter("serve.parse_errors")),
+      ctr_sheds_(metrics_.GetCounter("serve.sheds")),
+      ctr_bytes_in_(metrics_.GetCounter("serve.bytes_in")),
+      ctr_bytes_out_(metrics_.GetCounter("serve.bytes_out")),
+      ctr_idle_closed_(metrics_.GetCounter("serve.idle_closed")),
+      ctr_readonly_rejected_(
+          metrics_.GetCounter("serve.readonly_rejected")),
+      ctr_repl_bytes_shipped_(
+          metrics_.GetCounter("serve.repl_bytes_shipped")),
+      ctr_repl_heartbeats_(metrics_.GetCounter("serve.repl_heartbeats")),
+      g_repl_streams_(metrics_.GetGauge("serve.repl_streams")),
+      ctr_barrier_ops_(metrics_.GetCounter("serve.pool_barrier_ops")),
+      ctr_shard_lock_waits_(metrics_.GetCounter("pool.shard_lock_waits")),
+      tm_shard_lock_wait_us_(metrics_.GetTimer("pool.shard_lock_wait_us")) {
+  for (size_t v = 0; v < kNumVerbs; ++v) {
+    const std::string name(VerbName(static_cast<Verb>(v)));
+    ctr_cmds_[v] = metrics_.GetCounter("serve.cmd_" + name);
+    tm_cmds_[v] = metrics_.GetTimer("serve.cmd_" + name + "_us");
+  }
+}
+
+Server::Lane::~Lane() {
+  for (auto& [fd, conn] : connections_) ::close(fd);
+  connections_.clear();
+  for (int fd : adopted_) ::close(fd);
+  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
+  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+}
+
+Status Server::Lane::Start() {
+  if (pipe(wake_fds_) != 0) {
+    return Status::Internal(StringFormat("pipe: %s", std::strerror(errno)));
+  }
+  ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[0]));
+  ADREC_RETURN_NOT_OK(SetNonBlocking(wake_fds_[1]));
+  // The barrier wakes this loop through the same pipe.
+  server_->barrier_.SetWakeFd(index_, wake_fds_[1]);
+  // One window reporter per daemon, on lane 0. Created here, before any
+  // loop runs, because its first scrape must see every lane quiescent.
+  if (index_ == 0 && options_.report_interval > 0.0) {
+    reporter_ = std::make_unique<PeriodicReporter>(
+        [server = server_] { return server->MergedSnapshot(); },
+        options_.report_interval);
+  }
+  return Status::OK();
+}
+
+void Server::Lane::Wake() {
+  const char b = 'w';
   [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
 }
 
-void Server::AdoptSocket(int fd) {
+void Server::Lane::AdoptSocket(int fd) {
   {
     std::lock_guard<std::mutex> lk(adopt_mu_);
     adopted_.push_back(fd);
   }
-  const char b = 'a';
-  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
+  Wake();
 }
 
-size_t Server::InflightBytes() const {
+size_t Server::Lane::InflightBytes() const {
   // Replication streams are exempt: a catching-up follower legitimately
   // holds megabytes of frames in flight, and shedding CLIENT traffic
   // because a REPLICA is slow would invert the service's priorities.
@@ -342,7 +609,7 @@ size_t Server::InflightBytes() const {
   return total;
 }
 
-void Server::AdmitSocket(int fd) {
+void Server::Lane::AdmitSocket(int fd) {
   if (connections_.size() >= options_.max_connections || draining_) {
     // Shed at the door: tell the client why, then hang up. The
     // best-effort write is fine — the socket buffer of a fresh
@@ -371,9 +638,9 @@ void Server::AdmitSocket(int fd) {
   g_active_->Set(static_cast<double>(connections_.size()));
 }
 
-void Server::AcceptNew() {
+void Server::Lane::AcceptNew() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(server_->listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -386,11 +653,17 @@ void Server::AcceptNew() {
                             std::chrono::milliseconds(100);
       return;
     }
-    AdmitSocket(fd);
+    Lane* lane = server_->lanes_[next_lane_].get();
+    next_lane_ = (next_lane_ + 1) % server_->lanes_.size();
+    if (lane == this) {
+      AdmitSocket(fd);
+    } else {
+      lane->AdoptSocket(fd);
+    }
   }
 }
 
-void Server::AdoptPending() {
+void Server::Lane::AdoptPending() {
   std::vector<int> fds;
   {
     std::lock_guard<std::mutex> lk(adopt_mu_);
@@ -399,7 +672,7 @@ void Server::AdoptPending() {
   for (int fd : fds) AdmitSocket(fd);
 }
 
-bool Server::ReadFrom(Connection* conn) {
+bool Server::Lane::ReadFrom(Connection* conn) {
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
@@ -434,7 +707,7 @@ bool Server::ReadFrom(Connection* conn) {
   }
 }
 
-void Server::ProcessLines(Connection* conn) {
+void Server::Lane::ProcessLines(Connection* conn) {
   size_t start = 0;
   while (start < conn->in.size()) {
     // Backpressure: once this connection's pending responses pass the
@@ -475,7 +748,7 @@ void Server::ProcessLines(Connection* conn) {
   conn->in.erase(0, start);
 }
 
-void Server::Dispatch(std::string_view line, Connection* conn) {
+void Server::Lane::Dispatch(std::string_view line, Connection* conn) {
   // Every request gets a trace (when the flight recorder is on): started
   // before parsing so even malformed lines leave a pinned record with
   // the refusal reason — overload and abuse forensics need exactly the
@@ -514,10 +787,8 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   // Follower read-only gate. The classification lives in IsWriteVerb —
   // one switch, compile-time exhaustive — so a future verb cannot reach
   // the engine's write path here without being classified there first.
-  // Pool note: read_only_ is set identically on every worker at startup
-  // and cleared for all of them by the (barrier) promote, so gating at
-  // the receiving worker is gating the pool.
-  if (read_only_ && IsWriteVerb(req.verb)) {
+  // Only the (barrier) promote clears the gate, with every lane parked.
+  if (server_->read_only_ && IsWriteVerb(req.verb)) {
     ctr_readonly_rejected_->Inc();
     conn->out += "READONLY" + std::string(kCrlf);
     if (trace != nullptr) {
@@ -539,28 +810,35 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
     }
     return;
   }
-  // Pool mode (DESIGN.md §16): rare coordination verbs stop the world
-  // instead of growing fan-out/merge machinery. The body runs on
-  // whichever worker arrives last, so the request's trace stays inactive
-  // inside it.
-  if (pool_mode() && IsBarrierVerb(req.verb)) {
+  // Rare coordination verbs stop every lane (DESIGN.md §16) instead of
+  // growing fan-out/merge machinery. The body runs on whichever lane
+  // arrives last, so it activates the request's trace on that thread;
+  // this lane is parked in the barrier meanwhile, so the trace still has
+  // one writer.
+  if (IsBarrierVerb(req.verb)) {
     obs::ScopedTimer timer(tm_cmds_[verb]);
     ctr_barrier_ops_->Inc();
-    const uint32_t exec_span =
+    const uint32_t barrier_span =
         trace != nullptr ? trace->StartSpan("pool.barrier") : 0;
     std::string reply;
-    pool_->barrier.Run(options_.lane, [&] { reply = Execute(req, conn); });
+    server_->barrier_.Run(index_, [&] {
+      const uint32_t exec_span =
+          trace != nullptr ? trace->StartSpan("serve.dispatch") : 0;
+      obs::ScopedActiveTrace active(trace.get());
+      reply = Execute(req, conn);
+      if (trace != nullptr) trace->EndSpan(exec_span);
+    });
     if (trace != nullptr) {
-      trace->EndSpan(exec_span);
+      trace->EndSpan(barrier_span);
       NoteErrorReply(trace.get(), reply);
     }
     conn->out += reply;
     FinishTrace(std::move(trace));
     return;
   }
-  // Everything else runs here, on the thread that read it — in a pool
-  // under the locks of the shards it touches, held across the WAL append
-  // and the engine call only.
+  // Everything else runs here, on the thread that read it, under the
+  // locks of the shards it touches, held across the WAL append and the
+  // engine call only.
   ShardLockGuard shard_locks = LockShards(req, trace.get());
   // Write-ahead: the raw request line is the log payload (the ingest
   // grammar IS the wire grammar), appended before the engine mutates. An
@@ -609,7 +887,7 @@ void Server::Dispatch(std::string_view line, Connection* conn) {
   }
 }
 
-std::pair<size_t, size_t> Server::ShardsOf(const Request& req) const {
+std::pair<size_t, size_t> Server::Lane::ShardsOf(const Request& req) const {
   switch (req.verb) {
     case Verb::kTweet:
     case Verb::kTopK: {  // topk routes to its author's shard, like ingest
@@ -642,12 +920,11 @@ std::pair<size_t, size_t> Server::ShardsOf(const Request& req) const {
   return {0, 0};
 }
 
-Server::ShardLockGuard Server::LockShards(const Request& req,
+ShardLockGuard Server::Lane::LockShards(const Request& req,
                                           obs::TraceBuilder* trace) {
-  if (!pool_mode()) return {};
   const auto [first, last] = ShardsOf(req);
   for (size_t s = first; s < last; ++s) {
-    std::mutex& mu = pool_->shard_locks[s];
+    std::mutex& mu = server_->shard_locks_[s];
     if (!mu.try_lock()) {
       const auto t0 = std::chrono::steady_clock::now();
       mu.lock();
@@ -657,28 +934,25 @@ Server::ShardLockGuard Server::LockShards(const Request& req,
           std::chrono::duration<double, std::micro>(t1 - t0).count());
       if (trace != nullptr) trace->AddSpan("pool.shard_wait", t0, t1);
     }
-    // Durability before visibility across workers: this request may see
-    // another worker's append to stream s that is not committed yet, so
-    // the wave commits stream s before its replies leave (a no-op when
-    // nothing is pending).
+    // Durability before visibility across lanes: this request may see
+    // another lane's append to shard s's stream that is not committed
+    // yet, so the wave commits that stream before its replies leave (a
+    // no-op when nothing is pending).
     if (!streams_.empty()) {
-      stream_dirty_[s] = true;
+      stream_dirty_[server_->StreamOf(s)] = true;
       wal_dirty_ = true;
     }
   }
-  return ShardLockGuard(&pool_->shard_locks, first, last);
+  return ShardLockGuard(&server_->shard_locks_, first, last);
 }
 
-Status Server::LogIngest(const Request& req, std::string_view line) {
+Status Server::Lane::LogIngest(const Request& req, std::string_view line) {
   // A feed event goes to its owner shard's stream only; an ad op is
   // duplicated into every stream, so each stream alone totally orders
-  // everything that touches its shard.
-  auto [first, last] = ShardsOf(req);
-  if (streams_.size() == 1) {
-    first = 0;
-    last = 1;
-  }
-  for (size_t s = first; s < last; ++s) {
+  // everything that touches its shard. (Write verbs touch a shard.)
+  const auto [first, last] = ShardsOf(req);
+  for (size_t s = server_->StreamOf(first); s <= server_->StreamOf(last - 1);
+       ++s) {
     auto seqno = streams_[s]->AppendDeferred(line);
     if (!seqno.ok()) {
       ADREC_LOG(kError) << "serve: wal append failed: "
@@ -691,26 +965,26 @@ Status Server::LogIngest(const Request& req, std::string_view line) {
   return Status::OK();
 }
 
-void Server::FinishTrace(std::unique_ptr<obs::TraceBuilder> trace) {
+void Server::Lane::FinishTrace(std::unique_ptr<obs::TraceBuilder> trace) {
   if (trace == nullptr) return;
   if (options_.tracer != nullptr) options_.tracer->Finish(trace.get());
   trace_pool_.Release(std::move(trace));
 }
 
-std::string Server::Execute(const Request& req, Connection* conn) {
+std::string Server::Lane::Execute(const Request& req, Connection* conn) {
   (void)conn;
   switch (req.verb) {
     case Verb::kTweet:
       engine_->OnTweet(req.tweet);
       if (cache_ != nullptr) cache_->OnTweet(req.tweet.user);
-      BumpStreamClock(req.tweet.time);
+      server_->BumpStreamClock(req.tweet.time);
       return "OK" + std::string(kCrlf);
     case Verb::kCheckIn:
       engine_->OnCheckIn(req.check_in);
       if (cache_ != nullptr) {
         cache_->OnCheckIn(req.check_in.user, req.check_in.location);
       }
-      BumpStreamClock(req.check_in.time);
+      server_->BumpStreamClock(req.check_in.time);
       return "OK" + std::string(kCrlf);
     case Verb::kAdPut: {
       const Status st = engine_->InsertAd(req.ad);
@@ -773,14 +1047,15 @@ std::string Server::Execute(const Request& req, Connection* conn) {
   return "SERVER_ERROR unreachable" + std::string(kCrlf);
 }
 
-std::string Server::ExecuteTopK(const Request& req) {
+std::string Server::Lane::ExecuteTopK(const Request& req) {
   feed::Tweet query = req.tweet;
-  if (!req.has_time) query.time = StreamNow();
+  if (!req.has_time) query.time = server_->StreamNow();
   if (cache_ != nullptr) return ExecuteTopKCached(query, req.k);
   return FormatTopKReply(engine_->TopKAdsForTweet(query, req.k));
 }
 
-std::string Server::ExecuteTopKCached(const feed::Tweet& query, size_t k) {
+std::string Server::Lane::ExecuteTopKCached(const feed::Tweet& query,
+                                            size_t k) {
   cache::TopkKey key;
   key.user = query.user.value;
   key.time = query.time;
@@ -826,29 +1101,7 @@ std::string Server::ExecuteTopKCached(const feed::Tweet& query, size_t k) {
   return reply;
 }
 
-void Server::InvalidateCacheFor(const feed::FeedEvent& event) {
-  if (cache_ == nullptr) return;
-  switch (event.kind) {
-    case feed::EventKind::kTweet:
-      cache_->OnTweet(event.tweet.user);
-      break;
-    case feed::EventKind::kCheckIn:
-      cache_->OnCheckIn(event.check_in.user, event.check_in.location);
-      break;
-    case feed::EventKind::kAdInsert:
-      cache_->OnAdPut(event.ad.target_locations, event.ad.target_slots);
-      break;
-    case feed::EventKind::kAdDelete:
-      // Pre-apply: the ad is still in the store. A missing ad means the
-      // delete will no-op, so nothing can change.
-      if (const ads::StoredAd* ad = engine_->FindAd(event.ad_id)) {
-        cache_->OnAdRemoved(ad->ad.target_locations, ad->ad.target_slots);
-      }
-      break;
-  }
-}
-
-std::string Server::ExecuteMatch(const Request& req) {
+std::string Server::Lane::ExecuteMatch(const Request& req) {
   auto match = engine_->RecommendUsers(req.ad_id);
   if (!match.ok()) {
     if (match.status().code() == StatusCode::kNotFound) {
@@ -867,8 +1120,8 @@ std::string Server::ExecuteMatch(const Request& req) {
   return out;
 }
 
-std::string Server::ExecuteStats() {
-  const obs::StatsReport report = obs::BuildReport(MergedSnapshot());
+std::string Server::Lane::ExecuteStats() {
+  const obs::StatsReport report = obs::BuildReport(server_->MergedSnapshot());
   std::string out;
   for (const auto& [name, value] : report.counters) {
     out += "STAT " + name +
@@ -892,8 +1145,8 @@ std::string Server::ExecuteStats() {
   return out;
 }
 
-std::string Server::ExecuteMetrics() {
-  const std::string payload = obs::ExportPrometheus(MergedSnapshot());
+std::string Server::Lane::ExecuteMetrics() {
+  const std::string payload = obs::ExportPrometheus(server_->MergedSnapshot());
   std::string out = StringFormat("METRICS %zu", payload.size()) +
                     std::string(kCrlf);
   out += payload;
@@ -902,7 +1155,7 @@ std::string Server::ExecuteMetrics() {
   return out;
 }
 
-std::string Server::ExecuteTrace(const Request& req) {
+std::string Server::Lane::ExecuteTrace(const Request& req) {
   if (options_.tracer == nullptr || !options_.tracer->enabled()) {
     return "SERVER_ERROR tracing disabled (no flight recorder configured)" +
            std::string(kCrlf);
@@ -918,7 +1171,7 @@ std::string Server::ExecuteTrace(const Request& req) {
   return out;
 }
 
-std::string Server::ExecuteSlow() {
+std::string Server::Lane::ExecuteSlow() {
   if (options_.tracer == nullptr || !options_.tracer->enabled()) {
     return "SERVER_ERROR tracing disabled (no flight recorder configured)" +
            std::string(kCrlf);
@@ -933,7 +1186,7 @@ std::string Server::ExecuteSlow() {
   return out;
 }
 
-void Server::AppendConnsTo(std::string* out, const void* self) const {
+void Server::Lane::AppendConnsTo(std::string* out, const void* self) const {
   const auto now = std::chrono::steady_clock::now();
   for (const auto& [fd, conn] : connections_) {
     *out += StringFormat(
@@ -965,21 +1218,18 @@ void Server::AppendConnsTo(std::string* out, const void* self) const {
   }
 }
 
-std::string Server::ExecuteConns(const Connection* self) {
-  // A pool runs this quiesced (barrier) and lists every worker's
-  // connections.
-  const std::vector<Server*> servers =
-      pool_mode() ? pool_->servers : std::vector<Server*>{this};
+std::string Server::Lane::ExecuteConns(const Connection* self) {
+  // Runs quiesced (a barrier verb) and lists every lane's connections.
   size_t total = 0;
-  for (const Server* s : servers) total += s->num_connections();
+  for (const auto& lane : server_->lanes_) total += lane->connections_.size();
   std::string out = StringFormat("CONNS %zu", total) + std::string(kCrlf);
-  for (const Server* s : servers) s->AppendConnsTo(&out, self);
+  for (const auto& lane : server_->lanes_) lane->AppendConnsTo(&out, self);
   out += "END";
   out += kCrlf;
   return out;
 }
 
-std::string Server::ExecuteSnapshot(const Request& req) {
+std::string Server::Lane::ExecuteSnapshot(const Request& req) {
   // The target is client-supplied: never let it name an arbitrary
   // filesystem location. Disabled unless a root is configured; when it
   // is, the path must stay strictly under it.
@@ -1013,21 +1263,21 @@ std::string Server::ExecuteSnapshot(const Request& req) {
   return "OK" + std::string(kCrlf);
 }
 
-std::string Server::ExecuteCheckpoint() {
+std::string Server::Lane::ExecuteCheckpoint() {
   if (options_.checkpointer == nullptr || streams_.empty()) {
     return "SERVER_ERROR checkpoint disabled (no wal configured)" +
            std::string(kCrlf);
   }
-  const Status st = options_.checkpointer->Checkpoint(*engine_, options_.wal,
-                                                      StreamNow());
+  const Status st = options_.checkpointer->Checkpoint(
+      *engine_, options_.wal, server_->StreamNow());
   if (!st.ok()) {
     return "SERVER_ERROR " + st.ToString() + std::string(kCrlf);
   }
-  last_checkpoint_ = std::chrono::steady_clock::now();
+  server_->last_checkpoint_ = std::chrono::steady_clock::now();
   return "OK" + std::string(kCrlf);
 }
 
-uint64_t Server::ReplCursorFloor(size_t stream) const {
+uint64_t Server::Lane::ReplCursorFloor(size_t stream) const {
   uint64_t floor = UINT64_MAX;
   for (const auto& [fd, conn] : connections_) {
     if (conn.replica && conn.repl_stream == stream) {
@@ -1037,7 +1287,7 @@ uint64_t Server::ReplCursorFloor(size_t stream) const {
   return floor;
 }
 
-std::string Server::ExecuteCompact() {
+std::string Server::Lane::ExecuteCompact() {
   if (streams_.empty()) {
     return "SERVER_ERROR compaction disabled (no wal configured)" +
            std::string(kCrlf);
@@ -1050,13 +1300,11 @@ std::string Server::ExecuteCompact() {
     wal::delta::CompactionOptions opts;
     // Frames an attached follower has not consumed yet must survive
     // verbatim: the preserve floor is the min resume cursor across every
-    // worker's replication connections on this stream.
-    opts.preserve_floor = ReplCursorFloor(s);
-    if (pool_mode()) {
-      for (Server* srv : pool_->servers) {
-        opts.preserve_floor =
-            std::min(opts.preserve_floor, srv->ReplCursorFloor(s));
-      }
+    // lane's replication connections on this stream.
+    opts.preserve_floor = UINT64_MAX;
+    for (const auto& lane : server_->lanes_) {
+      opts.preserve_floor =
+          std::min(opts.preserve_floor, lane->ReplCursorFloor(s));
     }
     auto report = wal::delta::CompactSealed(streams_[s], opts);
     if (!report.ok()) {
@@ -1071,7 +1319,7 @@ std::string Server::ExecuteCompact() {
     records_dropped += report.value().records_dropped;
     bytes_reclaimed += report.value().bytes_in - report.value().bytes_out;
   }
-  last_compact_ = std::chrono::steady_clock::now();
+  server_->last_compact_ = std::chrono::steady_clock::now();
   if (segments_in > 0) {
     ADREC_LOG(kInfo) << "serve: compacted " << segments_in << " -> "
                      << segments_out << " sealed segments, dropped "
@@ -1081,7 +1329,7 @@ std::string Server::ExecuteCompact() {
   return "OK" + std::string(kCrlf);
 }
 
-std::string Server::ExecuteRepl(const Request& req, Connection* conn) {
+std::string Server::Lane::ExecuteRepl(const Request& req, Connection* conn) {
   if (streams_.empty()) {
     return "SERVER_ERROR replication disabled (no wal configured)" +
            std::string(kCrlf);
@@ -1120,24 +1368,15 @@ std::string Server::ExecuteRepl(const Request& req, Connection* conn) {
          std::string(kCrlf);
 }
 
-std::string Server::ExecutePromote() {
-  // A pool runs this quiesced (barrier) and promotes pool-wide: every
-  // worker's followers detach, the log seals, every worker opens for
-  // writes — a pool is promoted once, not worker by worker.
-  const std::vector<Server*> servers =
-      pool_mode() ? pool_->servers : std::vector<Server*>{this};
-  bool any_follower = false;
-  for (Server* s : servers) {
-    any_follower = any_follower || !s->followers().empty();
-  }
-  if (!any_follower) {
+std::string Server::Lane::ExecutePromote() {
+  // Runs quiesced (a barrier verb) and promotes the daemon once: every
+  // lane's followers detach, the log seals, every lane opens for writes.
+  if (options_.followers.empty()) {
     return "SERVER_ERROR not a follower (nothing to promote)" +
            std::string(kCrlf);
   }
-  if (!read_only_) return "OK" + std::string(kCrlf);  // idempotent
-  for (Server* s : servers) {
-    for (replica::Follower* follower : s->followers()) follower->Detach();
-  }
+  if (!server_->read_only_) return "OK" + std::string(kCrlf);  // idempotent
+  for (replica::Follower* follower : options_.followers) follower->Detach();
   // Seal the replicated history: everything applied as a follower is
   // fdatasynced and closed into an immutable segment before the first
   // write of the new epoch can land. Every stream seals — promotion is a
@@ -1150,13 +1389,13 @@ std::string Server::ExecutePromote() {
              std::string(kCrlf);
     }
   }
-  for (Server* s : servers) s->set_read_only(false);
+  server_->read_only_ = false;
   ADREC_LOG(kInfo) << "serve: promoted to leader (" << num_streams()
                    << " streams sealed), accepting writes";
   return "OK" + std::string(kCrlf);
 }
 
-void Server::PumpReplicas() {
+void Server::Lane::PumpReplicas() {
   if (streams_.empty()) return;
   // Per-stream durability horizon, computed lazily: ship only what each
   // stream's barrier has released — flushed frames are complete on disk
@@ -1211,7 +1450,7 @@ void Server::PumpReplicas() {
   }
 }
 
-void Server::CommitWal() {
+void Server::Lane::CommitWal() {
   if (!wal_dirty_) return;
   wal_dirty_ = false;
   const auto commit_t0 = std::chrono::steady_clock::now();
@@ -1246,96 +1485,52 @@ void Server::CommitWal() {
   }
 }
 
-void Server::MaybeCheckpoint() {
+void Server::Lane::MaybeCheckpoint() {
   if (options_.checkpointer == nullptr || streams_.empty() ||
       options_.checkpoint_interval <= 0.0) {
     return;
   }
   const auto now = std::chrono::steady_clock::now();
   const double since =
-      std::chrono::duration<double>(now - last_checkpoint_).count();
+      std::chrono::duration<double>(now - server_->last_checkpoint_).count();
   if (since < options_.checkpoint_interval) return;
-  last_checkpoint_ = now;
-  auto do_checkpoint = [this] {
+  server_->last_checkpoint_ = now;
+  // Checkpointing reads every shard: stop every lane, exactly like the
+  // explicit `checkpoint` verb.
+  server_->barrier_.Run(index_, [this] {
     const std::string reply = ExecuteCheckpoint();
     if (!StartsWith(reply, "OK")) {
       ADREC_LOG(kError) << "serve: periodic checkpoint failed: " << reply;
     }
-  };
-  if (pool_mode()) {
-    // Checkpointing reads every shard: stop the world, exactly like the
-    // explicit `checkpoint` verb. Only lane 0 initiates (Run gates it).
-    pool_->barrier.Run(options_.lane, do_checkpoint);
-  } else {
-    do_checkpoint();
-  }
+  });
 }
 
-void Server::MaybeCompact() {
+void Server::Lane::MaybeCompact() {
   if (streams_.empty() || options_.compact_interval <= 0.0) return;
   const auto now = std::chrono::steady_clock::now();
   const double since =
-      std::chrono::duration<double>(now - last_compact_).count();
+      std::chrono::duration<double>(now - server_->last_compact_).count();
   if (since < options_.compact_interval) return;
-  last_compact_ = now;
-  auto do_compact = [this] {
+  server_->last_compact_ = now;
+  // Compaction rewrites every stream's sealed files and scans every
+  // lane's connection table for replica cursors: stop every lane,
+  // exactly like the explicit `compact` verb.
+  server_->barrier_.Run(index_, [this] {
     const std::string reply = ExecuteCompact();
     if (!StartsWith(reply, "OK")) {
       ADREC_LOG(kError) << "serve: idle compaction failed: " << reply;
     }
-  };
-  if (pool_mode()) {
-    // Compaction rewrites every stream's sealed files and scans sibling
-    // connection tables for replica cursors: stop the world, exactly
-    // like the explicit `compact` verb. Only lane 0 initiates.
-    pool_->barrier.Run(options_.lane, do_compact);
-  } else {
-    do_compact();
-  }
+  });
 }
 
-void MergeSharedMetrics(const core::ShardedEngine& engine,
-                        const ServerOptions& options,
-                        obs::MetricsSnapshot* out) {
-  out->MergeFrom(engine.MergedMetrics());
-  if (options.wal != nullptr) out->MergeFrom(options.wal->MergedMetrics());
-  for (const replica::Follower* follower : options.followers) {
-    if (follower != nullptr) out->MergeFrom(follower->metrics().Snapshot());
-  }
-  if (options.checkpointer != nullptr) {
-    out->MergeFrom(options.checkpointer->metrics().Snapshot());
-  }
-  if (options.tracer != nullptr) {
-    out->MergeFrom(options.tracer->metrics().Snapshot());
-  }
-}
-
-void Server::MaybeReport() {
+void Server::Lane::MaybeReport() {
   if (reporter_ == nullptr || !reporter_->Due()) return;
-  if (pool_mode()) {
-    // The pool-wide scrape is only safe quiescent: stop the world, like
-    // MaybeCheckpoint. Only lane 0 reports (Start creates its reporter).
-    pool_->barrier.Run(options_.lane, [this] { reporter_->Tick(); });
-  } else {
-    reporter_->Tick();
-  }
+  // The merged scrape is only safe quiescent: stop every lane, like
+  // MaybeCheckpoint.
+  server_->barrier_.Run(index_, [this] { reporter_->Tick(); });
 }
 
-obs::MetricsSnapshot Server::MergedSnapshot() const {
-  if (pool_mode() && pool_->merged_snapshot) {
-    // The pool-wide view. Only safe quiescent (stats/metrics run under
-    // the barrier in pool mode) or after the workers stopped.
-    return pool_->merged_snapshot();
-  }
-  obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  if (cache_ != nullptr) {
-    snapshot.MergeFrom(cache_->metrics().Snapshot());
-  }
-  MergeSharedMetrics(*engine_, options_, &snapshot);
-  return snapshot;
-}
-
-bool Server::WriteTo(Connection* conn) {
+bool Server::Lane::WriteTo(Connection* conn) {
   while (!conn->out.empty()) {
     const ssize_t n = ::send(conn->fd, conn->out.data(), conn->out.size(),
                              MSG_NOSIGNAL);
@@ -1361,7 +1556,7 @@ bool Server::WriteTo(Connection* conn) {
   return true;
 }
 
-void Server::CloseConnection(Connection* conn) {
+void Server::Lane::CloseConnection(Connection* conn) {
   const int fd = conn->fd;
   const bool was_replica = conn->replica;
   ::close(fd);
@@ -1374,7 +1569,7 @@ void Server::CloseConnection(Connection* conn) {
   }
 }
 
-void Server::CloseIdle() {
+void Server::Lane::CloseIdle() {
   if (options_.idle_timeout <= 0) return;
   const auto now = std::chrono::steady_clock::now();
   std::vector<int> idle;
@@ -1397,12 +1592,9 @@ void Server::CloseIdle() {
   }
 }
 
-void Server::Run() {
-  ADREC_CHECK(listen_fd_ >= 0 || pool_mode());
+void Server::Lane::Run() {
   const auto drain_deadline_never = std::chrono::steady_clock::time_point::max();
   auto drain_deadline = drain_deadline_never;
-  last_checkpoint_ = std::chrono::steady_clock::now();
-  last_compact_ = last_checkpoint_;
 
   std::vector<pollfd> fds;
   std::vector<int> conn_fds;
@@ -1421,14 +1613,15 @@ void Server::Run() {
     conn_fds.clear();
     polled_followers.clear();
     fds.push_back({wake_fds_[0], POLLIN, 0});
+    // Only lane 0 ever touches the listener.
+    const bool listening = index_ == 0 && server_->listen_fd_ >= 0;
     const bool listen_polled =
-        listen_fd_ >= 0 && !draining_ &&
+        listening && !draining_ &&
         std::chrono::steady_clock::now() >= accept_pause_until_;
-    if (listen_polled) fds.push_back({listen_fd_, POLLIN, 0});
-    // Follower mode: every leader connection lives in this poll set —
-    // the event loop stays the engine's only mutator, replication
-    // included. (A pool worker polls the followers of its own shards.)
-    for (replica::Follower* follower : options_.followers) {
+    if (listen_polled) fds.push_back({server_->listen_fd_, POLLIN, 0});
+    // Follower mode: this lane's leader connections live in its poll set,
+    // so replication applies on a serving thread, between waves.
+    for (replica::Follower* follower : followers_) {
       if (follower->detached() || follower->fd() < 0) continue;
       short events = POLLIN;
       if (follower->want_write()) events |= POLLOUT;
@@ -1458,18 +1651,17 @@ void Server::Run() {
       timeout_ms = timeout_ms < 0 ? std::max(r, 10)
                                   : std::min(timeout_ms, std::max(r, 10));
     }
-    if (listen_fd_ >= 0 && !draining_ && !listen_polled) {
+    if (listening && !draining_ && !listen_polled) {
       // Accepts are paused (descriptor exhaustion): wake soon enough to
       // resume the listener once the backoff lapses.
       timeout_ms = timeout_ms < 0 ? 100 : std::min(timeout_ms, 100);
     }
     if (options_.checkpointer != nullptr &&
-        options_.checkpoint_interval > 0.0 &&
-        (!pool_mode() || options_.lane == 0)) {
+        options_.checkpoint_interval > 0.0 && index_ == 0) {
       // Periodic checkpoints must fire even on an idle stream.
       timeout_ms = timeout_ms < 0 ? 1000 : std::min(timeout_ms, 1000);
     }
-    for (replica::Follower* follower : options_.followers) {
+    for (replica::Follower* follower : followers_) {
       if (follower->detached()) continue;
       // Reconnect backoff and lag gauges are time-driven.
       const int f = follower->TickDelayMs();
@@ -1495,47 +1687,47 @@ void Server::Run() {
       while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
       }
     }
-    // The wake pipe multiplexes drain requests, socket adoption and pool
+    // The wake pipe multiplexes drain requests, socket adoption and
     // barriers; the flag, the queue and the barrier's generation say
     // which (possibly several).
     AdoptPending();
-    if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
+    if (server_->drain_requested_.load(std::memory_order_acquire) &&
+        !draining_) {
       draining_ = true;
       drain_deadline = std::chrono::steady_clock::now() +
                        std::chrono::duration_cast<
                            std::chrono::steady_clock::duration>(
                            std::chrono::duration<double>(
                                options_.drain_timeout));
-      if (listen_fd_ >= 0) {
+      if (listening) {
         // Close the listening socket immediately: leaving it open would
         // let the kernel keep accepting into the backlog, stranding
         // clients that will never be served.
-        ::close(listen_fd_);
-        listen_fd_ = -1;
+        ::close(server_->listen_fd_);
+        server_->listen_fd_ = -1;
       }
       ADREC_LOG(kInfo) << "serve: drain requested, "
                        << connections_.size() << " connections open";
     }
     ++idx;
     if (listen_polled) {
-      if (!draining_ && listen_fd_ >= 0 &&
-          (fds[idx].revents & (POLLIN | POLLERR))) {
+      if (!draining_ && (fds[idx].revents & (POLLIN | POLLERR))) {
         AcceptNew();
       }
       ++idx;
     }
-    // A sibling's pending barrier parks this worker here, between waves:
+    // Another lane's pending barrier parks this one here, between waves:
     // its previous wave is committed and it holds no shard lock.
-    if (pool_mode()) pool_->barrier.Arrive(options_.lane);
+    server_->barrier_.Arrive(index_);
     for (replica::Follower* follower : polled_followers) {
       if (fds[idx].revents != 0) follower->OnPollEvents(fds[idx].revents);
       ++idx;
     }
-    for (replica::Follower* follower : options_.followers) {
+    for (replica::Follower* follower : followers_) {
       follower->Tick();
       // Replicated events drive this daemon's stream clock so time-less
       // `topk` on the replica answers at the replicated position.
-      BumpStreamClock(follower->max_event_time());
+      server_->BumpStreamClock(follower->max_event_time());
     }
 
     // Read + process every ready connection first — their WAL appends
@@ -1558,8 +1750,8 @@ void Server::Run() {
       ProcessLines(conn);
     }
     // Durability before visibility: every deferred WAL append of the
-    // wave (and, in a pool, every stream of a shard it touched) is
-    // committed before any of the wave's replies can be written.
+    // wave (and every stream of a shard it touched) is committed before
+    // any of the wave's replies can be written.
     CommitWal();
     // ... and replication before acknowledgement-chasing: the wave's
     // freshly durable frames fan out to attached followers in the same
@@ -1588,7 +1780,7 @@ void Server::Run() {
     }
 
     CloseIdle();
-    if (!draining_ && (!pool_mode() || options_.lane == 0)) {
+    if (!draining_ && index_ == 0) {
       MaybeCheckpoint();
       MaybeCompact();
       MaybeReport();
@@ -1603,20 +1795,10 @@ void Server::Run() {
       for (int fd : done) CloseConnection(&connections_.at(fd));
     }
   }
-  if (pool_mode()) {
-    // Leave the rendezvous set so a sibling's in-flight barrier never
-    // waits on this thread; the PoolServer syncs the streams after every
-    // worker has joined.
-    pool_->barrier.Deregister(options_.lane);
-  } else if (options_.wal != nullptr) {
-    // Final barrier: under kNone/kInterval the tail of the log may still
-    // be in page cache; a clean shutdown should not lose it.
-    const Status st = options_.wal->SyncAll();
-    if (!st.ok()) {
-      ADREC_LOG(kError) << "serve: final wal sync failed: " << st.ToString();
-    }
-  }
-  ADREC_LOG(kInfo) << "serve: drained, event loop exiting";
+  // Leave the rendezvous set so another lane's in-flight barrier never
+  // waits on this thread; Server::Run syncs the log after every lane
+  // has joined.
+  server_->barrier_.Deregister(index_);
 }
 
 }  // namespace adrec::serve

@@ -1,11 +1,11 @@
-// The multi-core worker pool over real sockets: an acceptor thread
-// dealing connections to N event-loop workers, each executing what it
-// reads in place under per-shard locks, per-shard WAL streams, and the
-// merged observability views (`stats`/`conns`/`trace`/`slow` carry
-// worker ids). These are also the TSan targets for the pool: every test
-// runs N worker threads plus the acceptor against concurrent clients.
+// The multi-core server over real sockets: lane 0 accepting and dealing
+// connections to N event-loop lanes, each executing what it reads in
+// place under per-shard locks, per-shard WAL streams, and the merged
+// observability views (`stats`/`conns`/`trace`/`slow` carry worker
+// ids). These are also the TSan targets for the lanes: every test runs
+// N lane threads against concurrent clients.
 
-#include "serve/pool/pool_server.h"
+#include "serve/server.h"
 
 #include <chrono>
 #include <filesystem>
@@ -27,15 +27,13 @@
 #include "core/sharded_engine.h"
 #include "feed/workload.h"
 #include "obs/trace.h"
+#include "replica/follower.h"
 #include "serve/client.h"
-#include "serve/server.h"
 #include "wal/checkpoint.h"
 #include "wal/sharded_wal.h"
 
 namespace adrec::serve {
 namespace {
-
-using pool::PoolServer;
 
 class ServePoolTest : public ::testing::Test {
  protected:
@@ -61,9 +59,10 @@ class ServePoolTest : public ::testing::Test {
     std::filesystem::remove_all(base_dir_);
   }
 
-  /// Starts a pool over a fresh `shards`-shard engine. When `wal_shards`
-  /// > 0, attaches a ShardedWal with that many streams (must equal
-  /// `shards`) plus a CheckpointManager rooted at the log directory.
+  /// Starts a `workers`-lane Server over a fresh `shards`-shard engine.
+  /// When `wal_shards` > 0, attaches a ShardedWal with that many streams
+  /// (must equal `shards`) plus a CheckpointManager rooted at the log
+  /// directory.
   void StartPool(size_t shards, size_t workers, size_t wal_shards = 0,
                  obs::TraceCollector* tracer = nullptr,
                  wal::SyncPolicy sync = wal::SyncPolicy::kNone) {
@@ -71,6 +70,7 @@ class ServePoolTest : public ::testing::Test {
                                                     workload_.slots, shards);
     ServerOptions base;
     base.tracer = tracer;
+    base.workers = workers;
     if (wal_shards > 0) {
       wal::WalOptions wal_options;
       wal_options.sync = sync;
@@ -83,7 +83,7 @@ class ServePoolTest : public ::testing::Test {
           std::make_unique<wal::CheckpointManager>(base_dir_ + "/wal");
       base.checkpointer = checkpointer_.get();
     }
-    pool_ = std::make_unique<PoolServer>(engine_.get(), base, workers);
+    pool_ = std::make_unique<Server>(engine_.get(), base);
     ASSERT_TRUE(pool_->Start().ok());
     thread_ = std::thread([this] { pool_->Run(); });
   }
@@ -117,7 +117,7 @@ class ServePoolTest : public ::testing::Test {
   std::unique_ptr<core::ShardedEngine> engine_;
   std::unique_ptr<wal::ShardedWal> wal_;
   std::unique_ptr<wal::CheckpointManager> checkpointer_;
-  std::unique_ptr<PoolServer> pool_;
+  std::unique_ptr<Server> pool_;
   std::thread thread_;
 };
 
@@ -307,9 +307,9 @@ TEST_F(ServePoolTest, ConcurrentInPlaceExecutionRecoversFromGroupCommitLog) {
             engine_->shard(0).ad_store().size());
 }
 
-/// The pool must serve the same bytes as the classic single-threaded
-/// server: one deterministic script of ingest + explicit-time topk
-/// commands, replayed against both, replies compared verbatim.
+/// Every worker count serves the same bytes: one deterministic script of
+/// ingest + explicit-time topk commands, replayed against a one-worker
+/// Server and against two and four workers, replies compared verbatim.
 TEST_F(ServePoolTest, RepliesMatchClassicServerByteForByte) {
   // Script: interleave tweets/check-ins across every shard with topk
   // probes carrying explicit times (no wall-clock dependence).
@@ -337,7 +337,7 @@ TEST_F(ServePoolTest, RepliesMatchClassicServerByteForByte) {
     return replies;
   };
 
-  // Classic single-threaded reference over an identical fresh engine.
+  // One-worker reference over an identical fresh engine.
   core::ShardedEngine classic_engine(workload_.kb, workload_.slots, 4);
   Server classic(&classic_engine, ServerOptions{});
   ASSERT_TRUE(classic.Start().ok());
@@ -346,12 +346,16 @@ TEST_F(ServePoolTest, RepliesMatchClassicServerByteForByte) {
   classic.RequestDrain();
   classic_thread.join();
 
-  StartPool(/*shards=*/4, /*workers=*/2);
-  const std::vector<std::string> got = run_script(pool_->port());
+  for (const size_t workers : {size_t{2}, size_t{4}}) {
+    StartPool(/*shards=*/4, workers);
+    const std::vector<std::string> got = run_script(pool_->port());
+    StopPool();
 
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i], got[i]) << "script line: " << script[i];
+    ASSERT_EQ(want.size(), got.size()) << workers << " workers";
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i], got[i])
+          << workers << " workers, script line: " << script[i];
+    }
   }
 }
 
@@ -374,7 +378,7 @@ TEST_F(ServePoolTest, ConnsReportsOwningWorkerIds) {
       << conns.value();
 }
 
-/// Traces finished by pool workers carry the 1-based worker id in the
+/// Traces finished by the lanes carry the 1-based worker id in the
 /// TSV export (column 6), and the `slow`/`trace` verbs see every
 /// worker's requests through the shared collector.
 TEST_F(ServePoolTest, TraceRecordsCarryWorkerIds) {
@@ -500,9 +504,9 @@ TEST_F(ServePoolTest, ReplHandshakeSpeaksPerStreamCursors) {
 }
 
 /// The exposition is the same shape whatever --workers is: after one
-/// ingest + checkpoint script, a two-worker pool's `stats` carries
-/// exactly the metric names of a one-worker Server over the same log
-/// layout — the checkpointer's checkpoint.* families included.
+/// ingest + checkpoint script, a two- and a four-worker Server's `stats`
+/// carry exactly the metric names of a one-worker Server over the same
+/// log layout — the checkpointer's checkpoint.* families included.
 TEST_F(ServePoolTest, StatsNamesMatchOneWorkerServer) {
   const std::vector<std::string> script = {
       "adput\t9\t100\t50\t1.5\t\t\tcoffee and music deals",
@@ -532,7 +536,7 @@ TEST_F(ServePoolTest, StatsNamesMatchOneWorkerServer) {
     return names;
   };
 
-  // One worker: a classic Server over its own two-stream log.
+  // One worker: a default Server over its own two-stream log.
   std::set<std::string> want;
   {
     core::ShardedEngine engine(workload_.kb, workload_.slots, 2);
@@ -554,20 +558,101 @@ TEST_F(ServePoolTest, StatsNamesMatchOneWorkerServer) {
   }
   ASSERT_EQ(want.count("checkpoint.saves"), 1u);
 
-  StartPool(/*shards=*/2, /*workers=*/2, /*wal_shards=*/2);
-  const std::set<std::string> got = stat_names(pool_->port());
-  EXPECT_EQ(want, got);
+  for (const size_t workers : {size_t{2}, size_t{4}}) {
+    StartPool(/*shards=*/2, workers, /*wal_shards=*/2);
+    const std::set<std::string> got = stat_names(pool_->port());
+    StopPool();
+    std::filesystem::remove_all(base_dir_ + "/wal");
+    EXPECT_EQ(want, got) << workers << " workers";
+  }
 }
 
-/// --report-interval works in a pool: lane 0's reporter logs `window`
-/// lines from inside a barrier, where the pool-wide scrape is quiescent.
+/// A two-lane follower of a two-lane leader: lane `s % 2` polls stream
+/// s's follower, which applies under shard s's lock while the other lane
+/// serves topk reads of that shard; the read-only gate holds on both
+/// lanes until one `promote` opens both.
+TEST_F(ServePoolTest, TwoLaneFollowerReplicatesAndPromotes) {
+  StartPool(/*shards=*/2, /*workers=*/2, /*wal_shards=*/2);  // the leader
+  constexpr long long kTweets = 24;
+  {
+    Client client = Connected();
+    for (long long i = 0; i < kTweets; ++i) {
+      feed::Tweet t;
+      t.user = UserId(static_cast<uint32_t>(i));  // both shards
+      t.time = static_cast<Timestamp>(900 + i);
+      t.text = "coffee and live music";
+      ASSERT_TRUE(client.SendTweet(t).ok()) << i;
+    }
+  }
+
+  core::ShardedEngine engine(workload_.kb, workload_.slots, 2);
+  wal::WalOptions wal_options;
+  wal_options.sync = wal::SyncPolicy::kNone;
+  wal_options.shards = 2;
+  auto opened = wal::ShardedWal::Open(base_dir_ + "/follower", wal_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const std::unique_ptr<wal::ShardedWal> log = std::move(opened).value();
+  replica::FollowerOptions fopts;
+  fopts.port = pool_->port();
+  fopts.backoff_initial = 0.05;
+  std::vector<std::unique_ptr<replica::Follower>> followers;
+  ServerOptions options;
+  options.workers = 2;
+  options.wal = log.get();
+  for (size_t s = 0; s < 2; ++s) {
+    followers.push_back(
+        std::make_unique<replica::Follower>(&engine, log.get(), s, fopts));
+    options.followers.push_back(followers.back().get());
+  }
+  Server follower(&engine, options);
+  ASSERT_TRUE(follower.Start().ok());
+  std::thread follower_thread([&follower] { follower.Run(); });
+  {
+    // Two connections, one per lane.
+    Client a;
+    Client b;
+    ASSERT_TRUE(a.Connect("127.0.0.1", follower.port()).ok());
+    ASSERT_TRUE(b.Connect("127.0.0.1", follower.port()).ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (uint32_t round = 0;; ++round) {
+      ASSERT_TRUE(b.TopK(UserId(round % 8), 3).ok());
+      auto stats = a.Command("stats");
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      if (StatValue(stats.value(), "engine.tweets") == kTweets) break;
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "follower stuck: " << stats.value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    for (Client* client : {&a, &b}) {
+      auto reply = client->Command("tweet\t1\t1000\tjazz");
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply.value(), "READONLY");
+    }
+    auto promoted = a.Command("promote");
+    ASSERT_TRUE(promoted.ok());
+    EXPECT_EQ(promoted.value(), "OK");
+    for (Client* client : {&a, &b}) {
+      auto reply = client->Command("tweet\t1\t1000\tjazz");
+      ASSERT_TRUE(reply.ok());
+      EXPECT_EQ(reply.value(), "OK");
+    }
+  }
+  follower.RequestDrain();
+  follower_thread.join();
+}
+
+/// --report-interval works with several lanes: lane 0's reporter logs
+/// `window` lines from inside a barrier, where the merged scrape is
+/// quiescent.
 TEST_F(ServePoolTest, ReporterLogsWindowsInAPool) {
   engine_ = std::make_unique<core::ShardedEngine>(workload_.kb,
                                                   workload_.slots, 2);
   ServerOptions base;
   base.report_interval = 0.05;
+  base.workers = 2;
   ::testing::internal::CaptureStderr();
-  pool_ = std::make_unique<PoolServer>(engine_.get(), base, 2);
+  pool_ = std::make_unique<Server>(engine_.get(), base);
   ASSERT_TRUE(pool_->Start().ok());
   thread_ = std::thread([this] { pool_->Run(); });
   {

@@ -256,25 +256,39 @@ TEST_F(ServeTraceTest, QueryTraceNestsEngineTopkWithoutWalSpans) {
   EXPECT_EQ(SpanIndex(*topk, "wal.commit_wave"), 0u);
 }
 
+// `analyze` stops every lane; its body may run on another lane's
+// thread, and its engine spans must still land in the request's trace,
+// under the request's dispatch span.
 TEST_F(ServeTraceTest, AnalyzeTraceCarriesSubPhaseSpans) {
-  auto& collector = NewCollector();
-  StartServer(&collector);
-  Client client = Connected();
-  IngestAndQuery(&client);
-  ASSERT_TRUE(client.Analyze(0.45).ok());
+  for (const size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    auto& collector = NewCollector();
+    ServerOptions options;
+    options.workers = workers;
+    StartServer(&collector, options);
+    Client client = Connected();
+    IngestAndQuery(&client);
+    ASSERT_TRUE(client.Analyze(0.45).ok());
 
-  const auto traces = collector.Recent();
-  const obs::TraceRecord* analyze = FindTrace(traces, "analyze");
-  ASSERT_NE(analyze, nullptr);
-  CheckSpanTreeInvariants(*analyze);
-  const uint32_t analysis = SpanIndex(*analyze, "engine.analysis");
-  ASSERT_NE(analysis, 0u);
-  for (const char* phase :
-       {"engine.analysis.build", "engine.analysis.trias_location",
-        "engine.analysis.trias_topic", "engine.analysis.decode"}) {
-    const uint32_t idx = SpanIndex(*analyze, phase);
-    ASSERT_NE(idx, 0u) << phase;
-    EXPECT_EQ(analyze->spans[idx - 1].parent, analysis) << phase;
+    const auto traces = collector.Recent();
+    const obs::TraceRecord* analyze = FindTrace(traces, "analyze");
+    ASSERT_NE(analyze, nullptr);
+    CheckSpanTreeInvariants(*analyze);
+    const uint32_t analysis = SpanIndex(*analyze, "engine.analysis");
+    ASSERT_NE(analysis, 0u);
+    const uint32_t dispatch = SpanIndex(*analyze, "serve.dispatch");
+    ASSERT_NE(dispatch, 0u);
+    EXPECT_EQ(analyze->spans[analysis - 1].parent, dispatch);
+    for (const char* phase :
+         {"engine.analysis.build", "engine.analysis.trias_location",
+          "engine.analysis.trias_topic", "engine.analysis.decode"}) {
+      const uint32_t idx = SpanIndex(*analyze, phase);
+      ASSERT_NE(idx, 0u) << phase;
+      EXPECT_EQ(analyze->spans[idx - 1].parent, analysis) << phase;
+    }
+    client.Quit();
+    StopServer();
+    std::filesystem::remove_all(base_dir_ + "/wal");
   }
 }
 
